@@ -9,18 +9,19 @@ The seed defaults to 1.
 Every operation of a workload is one fresh ``diagdegen`` process, started
 only after the previous one has exited, so no cache survives from one call
 to the next.  A pass runs the workload's whole list once; passes repeat
-until ``--seconds`` have gone by (at least two passes, or one untraced and
-one traced pass with ``--trace 1``).  Every output is checked against the
-closed forms in ``expect.py``; the program is never imported here.
+until ``--seconds`` have gone by and there are an odd number of at least
+three untraced ones, unless the next would not end before the deadline.
+Every output is checked against the closed forms in ``expect.py``; the
+program is never imported here.
 
 With ``--trace 0`` the last line of stdout holds the end-to-end metrics:
-``setup_s`` (median time of a fresh interpreter importing diagdegen and
-exiting), ``wall_s`` (wall time of one pass, summed over the operations'
-median wall times) and ``peak_rss_mb``
-(median over passes of the largest resident set of any process of the
-pass).  With ``--trace 1`` untraced and traced passes alternate; the traced
-passes run each call under ``trace_child.py`` and the line holds the
-per-layer metrics, including the tracing overhead.
+``setup_s`` (median time of a fresh interpreter importing ``diagdegen.cli``,
+the entry point, and exiting; sampled a few times in every pass),
+``wall_s`` (wall time of one pass, summed over the operations' median wall
+times) and ``peak_rss_mb`` (median over passes of the largest resident set
+of any process of the pass).  With ``--trace 1`` untraced and traced passes
+alternate; the traced passes run each call under ``trace_child.py`` and the
+line holds the per-layer metrics, including the tracing overhead.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import statistics
 import sys
 import time
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import checks
@@ -49,8 +50,14 @@ TRACE_CHILD = BENCH / "trace_child.py"
 
 #: The console-script entry point of the installed ``diagdegen`` command.
 MAIN = "import sys; from diagdegen.cli import main; sys.argv[0] = 'diagdegen'; main()"
-SETUP_SAMPLES = 15
+#: What every call imports before it parses its arguments.
+IMPORT = "import diagdegen.cli"
+#: ``setup_s`` samples taken in each untraced pass, spread over its operations.
+SETUP_PER_PASS = 5
+MIN_PASSES = 3
 DEADLINE_S = 170
+#: Time kept free before the deadline for the checks and the report.
+DEADLINE_MARGIN_S = 10
 
 _current_child: list[int] = []
 
@@ -117,6 +124,7 @@ class Pass:
     def __init__(self, traced: bool):
         self.traced = traced
         self.op_walls: list[float] = []
+        self.setup: list[float] = []
         self.peak_kib = 0
         self.failed = 0
         self.output_bytes = 0
@@ -126,10 +134,20 @@ class Pass:
         self.counts: dict[str, int] = defaultdict(int)
 
 
-def run_pass(ops, env, traced: bool, digests: dict, errors: list[str]) -> Pass:
+def run_pass(ops, env, traced: bool, sample_setup: bool, digests: dict,
+             errors: list[str]) -> Pass:
     result = Pass(traced)
     trace_path = OUT / "trace.bin"
+    # Before which operations to take a setup_s sample: evenly spread, so the
+    # samples see the same phases of the machine as the operations do.
+    setup_at = Counter(len(ops) * i // SETUP_PER_PASS
+                       for i in range(SETUP_PER_PASS if sample_setup else 0))
     for k, argv in enumerate(ops):
+        for _ in range(setup_at[k]):
+            t0, t1, code, _, _, err = spawn([sys.executable, "-c", IMPORT], env)
+            if code != 0:
+                errors.append(f"importing diagdegen.cli failed: {err!r}")
+            result.setup.append(t1 - t0)
         if traced:
             cmd = [sys.executable, str(TRACE_CHILD), str(trace_path), *argv]
         else:
@@ -163,8 +181,10 @@ def run_pass(ops, env, traced: bool, digests: dict, errors: list[str]) -> Pass:
 def pass_wall(passes: list[Pass]) -> float:
     """Wall time of one pass: the sum over operations of each one's median wall time.
 
-    Taking the median per operation keeps a stall that hits one call of one
-    pass out of the figure.
+    With three or more passes, the median per operation keeps a stall that
+    hits one call of one pass out of the figure.  A run has fewer passes only
+    when passes are so slow that another would not end before the deadline;
+    over two passes the median is their mean.
     """
     return sum(statistics.median(walls) for walls in zip(*(p.op_walls for p in passes)))
 
@@ -227,31 +247,31 @@ def main() -> int:
     for signum in (signal.SIGALRM, signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, _stop)
     signal.alarm(DEADLINE_S)
+    deadline = time.monotonic() + DEADLINE_S - DEADLINE_MARGIN_S
     try:
         _, _, code, _, out, err = spawn(
-            [sys.executable, "-c", "import diagdegen; print(diagdegen.__file__)"], env)
+            [sys.executable, "-c", f"{IMPORT}; print(diagdegen.__file__)"], env)
         where = Path(out.decode().strip()).resolve()
         if code != 0 or SRC.resolve() not in where.parents:
             print(f"error: diagdegen does not import from {SRC}: {out!r} {err!r}",
                   file=sys.stderr)
             return 2
-        setup = []
-        if not args.trace:
-            for _ in range(SETUP_SAMPLES):
-                t0, t1, code, _, _, err = spawn([sys.executable, "-c", "import diagdegen"], env)
-                if code != 0:
-                    print(f"error: importing diagdegen failed: {err!r}", file=sys.stderr)
-                    return 2
-                setup.append(t1 - t0)
 
         errors: list[str] = []
         digests: dict[int, str] = {}
         passes: list[Pass] = []
         start = time.monotonic()
+        longest = 0.0
         while True:
+            t0 = time.monotonic()
             for traced in ((False, True) if args.trace else (False,)):
-                passes.append(run_pass(ops, env, traced, digests, errors))
-            if len(passes) >= 2 and time.monotonic() - start >= args.seconds:
+                passes.append(run_pass(ops, env, traced, not args.trace, digests, errors))
+            now = time.monotonic()
+            longest = max(longest, now - t0)
+            n = sum(1 for p in passes if not p.traced)
+            if n >= MIN_PASSES and n % 2 == 1 and now - start >= args.seconds:
+                break
+            if now + longest > deadline:
                 break
     except Stop as exc:
         for pid in _current_child:
@@ -276,7 +296,8 @@ def main() -> int:
         metrics["trace.overhead_ratio"] = {"value": overhead / wall, "unit": "ratio"}
     else:
         metrics = {
-            "setup_s": {"value": statistics.median(setup), "unit": "s"},
+            "setup_s": {"value": statistics.median(s for p in plain for s in p.setup),
+                        "unit": "s"},
             "wall_s": {"value": wall, "unit": "s"},
             "peak_rss_mb": {"value": statistics.median(p.peak_kib for p in plain) / 1024,
                             "unit": "MB"},
