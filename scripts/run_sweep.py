@@ -17,7 +17,7 @@ import time
 
 from diagdegen.sweep import run_sweep
 
-DEFAULT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A2xA1"]
+DEFAULT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A2xA1", "B4", "A5", "F4"]
 
 
 def main() -> int:

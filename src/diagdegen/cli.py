@@ -3,15 +3,18 @@
 Grammar: ``diagdegen <verb> <TYPE> [--I a,b,...] [--J a,b,...] [--json]
 [--variant paper|signed] [--out PATH]``.  Subsets are comma-separated
 1-based simple-root indices; pass ``""`` for the empty subset.  Exit codes:
-0 success, 1 sweep failures, 2 usage errors, 3 domain errors (rank cap,
-non-faithful I).
+0 success, 1 sweep failures, 2 usage errors (including an ``--out`` path
+that cannot be written), 3 domain errors (rank cap, non-faithful I),
+4 internal invariant failures.  Every error is one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 
 from . import degen, projgor, sweep
 from .cosets import min_reps
@@ -332,6 +335,21 @@ _DISPATCH = {
 }
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text to path through a temp file and a rename, never partially."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".diagdegen-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -347,12 +365,18 @@ def run(argv: list[str] | None = None) -> int:
     except (WeylOrderCapError, degen.UnfaithfulActionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (RuntimeError, AssertionError) as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 4
     rendered = (
         json.dumps(payload, indent=2, sort_keys=True) + "\n" if ns.json else text
     )
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            _write_file(ns.out, rendered)
+        except OSError as exc:
+            print(f"error: cannot write {ns.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     if ns.verb == "sweep" and not payload["ok"]:

@@ -5,12 +5,16 @@ minimal-length representatives W^I = {w : w(I) > 0}; these index the
 T-fixed points and the Schubert cells of G/P_I.  Double cosets W_J\\W/W_I
 are represented by ^J W^I = {w : w(I) > 0 and w^-1(J) > 0}.  The explicit
 subset enumerations that double-check both live in :mod:`diagdegen.oracles`.
+
+The quotient is the unit of work: ``min_reps`` computes W^I once per group
+and ``I``, and ``^J W^I`` is filtered out of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .weyl import WeylGroup
 
@@ -22,15 +26,11 @@ class QuotientData:
     group: WeylGroup
     I: frozenset[int]
     reps: tuple[int, ...]
-    dims: dict[int, tuple[int, int]]
+    dims: Mapping[int, tuple[int, int]]
     dim_x: int
-    _rep_set: frozenset[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self._rep_set = frozenset(self.reps)
 
     def __contains__(self, w: int) -> bool:
-        return w in self._rep_set
+        return w in self.dims
 
     def canonicalize(self, w: int) -> int:
         """The unique member of W^I in the coset w W_I."""
@@ -54,12 +54,12 @@ class QuotientData:
 
     def involution_image(self, w: int) -> int:
         """The image of w under w -> w_Delta w w_I, an involution of W^I."""
-        if w not in self._rep_set:
+        if w not in self.dims:
             raise ValueError(f"element {w} is not a minimal representative")
         g = self.group
         w_i = g.longest_in(self.I)
         out = g.multiply(g.multiply(g.longest_id, w), w_i)
-        if out not in self._rep_set:
+        if out not in self.dims:
             raise RuntimeError("involution left the representative set")
         return out
 
@@ -70,9 +70,20 @@ def min_reps(g: WeylGroup, I: Iterable[int]) -> QuotientData:
     dim C_w counts the positive roots sent by w^-1 into the negatives off
     Phi_I, dim C-_w the negative ones; they always satisfy
     dim C_w = length(w) and dim C_w + dim C-_w = dim G/P_I.
+
+    The data is computed once per group and I and cached on the group as a
+    plain tuple with a read-only dims mapping; every call wraps it in a new
+    QuotientData, so the cache never refers back to the group.
     """
+    I = g.rs.simple_subset(I)
+    cached = g._quotients.get(I)
+    if cached is None:
+        cached = g._quotients[I] = _quotient(g, I)
+    return QuotientData(g, I, *cached)
+
+
+def _quotient(g: WeylGroup, I: frozenset[int]) -> tuple:
     rs = g.rs
-    I = rs.simple_subset(I)
     simple_roots = [rs.simple_index(i) for i in sorted(I)]
     reps = tuple(
         w for w in range(g.order)
@@ -97,20 +108,21 @@ def min_reps(g: WeylGroup, I: Iterable[int]) -> QuotientData:
         if plus != g.lengths[w] or plus + minus != dim_x:
             raise RuntimeError(f"cell dimensions of rep {w} are inconsistent")
         dims[w] = (plus, minus)
-    return QuotientData(g, I, reps, dims, dim_x)
+    return reps, MappingProxyType(dims), dim_x
 
 
 def double_min_reps(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> tuple[int, ...]:
-    """Sorted ids of ^J W^I, the minimal double-coset representatives."""
+    """Sorted ids of ^J W^I, the minimal double-coset representatives.
+
+    Filtered from W^I: the members w with w^-1(J) > 0.
+    """
     rs = g.rs
-    right = [rs.simple_index(i) for i in sorted(rs.simple_subset(I))]
     left = [rs.simple_index(j) for j in sorted(rs.simple_subset(J))]
     out = []
-    for w in range(g.order):
-        if all(rs.is_positive(g.act(w, r)) for r in right):
-            wi = g.inverse(w)
-            if all(rs.is_positive(g.act(wi, r)) for r in left):
-                out.append(w)
+    for w in min_reps(g, I).reps:
+        wi = g.inverse(w)
+        if all(rs.is_positive(g.act(wi, r)) for r in left):
+            out.append(w)
     return tuple(out)
 
 
@@ -123,12 +135,13 @@ def double_max_rep(g: WeylGroup, J: Iterable[int], I: Iterable[int], w: int) -> 
     rs = g.rs
     I = rs.simple_subset(I)
     J = rs.simple_subset(J)
+    left = g.left_table()
     seen = {w}
     stack = [w]
     while stack:
         u = stack.pop()
         for i in I:
-            v = g.inverse(g.gen_table[g.inverse(u)][i - 1])  # s_i * u
+            v = left[u][i - 1]  # s_i * u
             if v not in seen:
                 seen.add(v)
                 stack.append(v)

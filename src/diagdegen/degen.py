@@ -21,6 +21,7 @@ gives back the diagonal as a single component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable
 
 from .cosets import QuotientData, double_min_reps, min_reps
@@ -107,6 +108,12 @@ def fixed_point_profile(g: WeylGroup, I: Iterable[int], w: int) -> set[tuple[int
     Returns all pairs (u, v) of representatives with u <= w <= v such that
     some x in W^I satisfies x <= u and v <= x.  The chain forces the result
     to be the singleton {(w, w)}; the scan verifies that on the nose.
+
+    With the Bruhat matrix, any such x satisfies x <= w <= x by transitivity,
+    so x runs over the meet of down(w), up(w) and W^I, and its pairs are
+    (up(x) meet down(w)) x (down(x) meet up(w)) within W^I.  This tests the
+    antisymmetry of the matrix rows: the meet is {w} exactly when no other
+    representative lies both below and above w.
     """
     q = min_reps(g, g.rs.simple_subset(I))
     w = q.canonicalize(w)
@@ -117,22 +124,11 @@ def fixed_point_profile(g: WeylGroup, I: Iterable[int], w: int) -> set[tuple[int
         rep_mask = 0
         for u in q.reps:
             rep_mask |= 1 << u
-        out = set()
         down_w = rows[w] & rep_mask
         up_w = up[w] & rep_mask
-        m = down_w
-        while m:
-            bu = m & -m
-            u = bu.bit_length() - 1
-            du = rows[u] & rep_mask
-            mv = up_w
-            while mv:
-                bv = mv & -mv
-                v = bv.bit_length() - 1
-                if du & up[v]:
-                    out.add((u, v))
-                mv ^= bv
-            m ^= bu
+        out = set()
+        for x in _bits(down_w & up_w):
+            out.update(product(_bits(up[x] & down_w), _bits(rows[x] & up_w)))
         return out
     leq = g.bruhat_leq
     return {
@@ -141,6 +137,16 @@ def fixed_point_profile(g: WeylGroup, I: Iterable[int], w: int) -> set[tuple[int
         for v in q.reps if leq(w, v)
         if any(leq(x, u) and leq(v, x) for x in q.reps)
     }
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
 
 
 def weight_set(g: WeylGroup, I: Iterable[int], w: int) -> frozenset[int]:

@@ -73,6 +73,7 @@ def double_cosets(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> list[froz
     """The partition of W into double cosets W_J w W_I, by closure."""
     right = [i - 1 for i in sorted(g.rs.simple_subset(I))]
     left = [j - 1 for j in sorted(g.rs.simple_subset(J))]
+    left_table = g.left_table()
     seen = [False] * g.order
     out = []
     for seed in range(g.order):
@@ -88,7 +89,7 @@ def double_cosets(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> list[froz
                     block.add(v)
                     stack.append(v)
             for j in left:
-                v = g.inverse(g.gen_table[g.inverse(w)][j])  # s_j * w
+                v = left_table[w][j]  # s_j * w
                 if v not in block:
                     block.add(v)
                     stack.append(v)

@@ -175,6 +175,7 @@ class RootSystem:
             for i in range(self.rank)
         )
         self._components = self._diagram_components()
+        self._sub_systems: dict[frozenset[int], frozenset[int]] = {}
 
     # -- basic queries ---------------------------------------------------
 
@@ -233,13 +234,16 @@ class RootSystem:
         return self.root_index(new)
 
     def sub_system(self, I: Iterable[int]) -> frozenset[int]:
-        """Indices of the roots supported on the simple subset I."""
+        """Indices of the roots supported on the simple subset I (cached per I)."""
         I = self.simple_subset(I)
-        out = set()
-        for r, coords in enumerate(self.roots):
-            if all(c == 0 or (j + 1) in I for j, c in enumerate(coords)):
-                out.add(r)
-        return frozenset(out)
+        out = self._sub_systems.get(I)
+        if out is None:
+            out = frozenset(
+                r for r, coords in enumerate(self.roots)
+                if all(c == 0 or (j + 1) in I for j, c in enumerate(coords))
+            )
+            self._sub_systems[I] = out
+        return out
 
     def lambda_pairing(self, J: Iterable[int], r: int) -> int:
         """Pair a root against the cocharacter that is 0 on J, 1 off J."""

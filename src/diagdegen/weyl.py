@@ -11,6 +11,11 @@ Bruhat order comes in two forms: a per-query walk down the canonical
 reduced word (always available), and a dense bitmask matrix built by the
 same subword recursion for groups up to ``MATRIX_CAP`` elements.  The
 independent reflection-cover oracle lives in :mod:`diagdegen.oracles`.
+
+Derived tables (inverses, left multiplication, the Bruhat matrix, and the
+quotient data of :func:`diagdegen.cosets.min_reps` per ``I``) are built
+lazily on first use and hold plain ids only, never a reference back to the
+group, so dropping the last reference to a group frees it at once.
 """
 
 from __future__ import annotations
@@ -48,9 +53,12 @@ class WeylGroup:
         self.index = index
         self.longest_id = len(perms) - 1
         self._inverses: list[int] | None = None
+        self._left_table: list[tuple[int, ...]] | None = None
         self._bruhat_rows: list[int] | None = None
         self._bruhat_up_rows: list[int] | None = None
         self._reflections: tuple[int, ...] | None = None
+        #: Raw ``(reps, dims, dim_x)`` of W^I per I, filled by ``min_reps``.
+        self._quotients: dict[frozenset[int], tuple] = {}
 
     @property
     def order(self) -> int:
@@ -70,6 +78,9 @@ class WeylGroup:
         return self.index[tuple(map(pu.__getitem__, self.perms[w]))]
 
     def inverse(self, w: int) -> int:
+        return self._inverse_table()[w]
+
+    def _inverse_table(self) -> list[int]:
         if self._inverses is None:
             n = len(self.perms[0])
             inv = []
@@ -79,7 +90,20 @@ class WeylGroup:
                     q[pr] = r
                 inv.append(self.index[tuple(q)])
             self._inverses = inv
-        return self._inverses[w]
+        return self._inverses
+
+    def left_table(self) -> list[tuple[int, ...]]:
+        """Left multiplication: entry ``[w][i - 1]`` is the id of s_i * w.
+
+        Derived from the right table as s_i w = (w^-1 s_i)^-1 on first use.
+        """
+        if self._left_table is None:
+            inv = self._inverse_table()
+            gen_table = self.gen_table
+            self._left_table = [
+                tuple(inv[v] for v in gen_table[inv[w]]) for w in range(self.order)
+            ]
+        return self._left_table
 
     def act(self, w: int, r: int) -> int:
         """Image root index of root r under the element w."""

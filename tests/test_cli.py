@@ -2,10 +2,12 @@
 
 import importlib.resources
 import json
+import os
 
 import jsonschema
 import pytest
 
+from diagdegen import cli
 from diagdegen.cli import run
 
 
@@ -116,6 +118,46 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["n_roots"] == 6
+
+
+def test_out_flag_file_equals_stdout(tmp_path, capsys):
+    argv = ["degen", "A3", "--I", "2", "--J", "1"]
+    code, stdout, _ = run_capture(capsys, argv)
+    assert code == 0
+    target = tmp_path / "degen.txt"
+    code, out, err = run_capture(capsys, argv + ["--out", str(target)])
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == stdout
+    assert os.listdir(tmp_path) == ["degen.txt"]
+
+
+def test_out_flag_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "roots.txt"
+    code, out, err = run_capture(capsys, ["roots", "A2", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_flag_failed_rename_leaves_no_file(tmp_path, capsys):
+    code, _, err = run_capture(capsys, ["roots", "A2", "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+def test_internal_failure_exits_4(monkeypatch, capsys, exc):
+    def broken(ns):
+        raise exc("cell dimensions of rep 3 are inconsistent")
+
+    monkeypatch.setitem(cli._DISPATCH, "cosets", broken)
+    code, out, err = run_capture(capsys, ["cosets", "A2", "--I", "1"])
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal invariant failed: cell dimensions of rep 3 are inconsistent\n"
 
 
 def test_help_exits_0(capsys):

@@ -19,6 +19,15 @@ def test_min_reps_examples(groups):
     assert min_reps(g, {1, 2}).reps == (0,)
 
 
+def test_min_reps_is_computed_once_per_I(groups):
+    g = groups("B3")
+    first = min_reps(g, {1, 3})
+    second = min_reps(g, [3, 1])
+    assert second == first
+    assert second is not first
+    assert second.group is g and second.I == frozenset({1, 3})
+
+
 @pytest.mark.parametrize("type_str", SMALL_TYPES)
 def test_min_reps_against_bruteforce(type_str, groups):
     g = groups(type_str)

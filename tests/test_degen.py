@@ -5,11 +5,13 @@ import pytest
 from conftest import SWEEP_TYPES, all_subsets, faithful_subsets, from_word
 from diagdegen import (
     UnfaithfulActionError,
+    build_root_system,
     closed_fiber,
     component_count,
     fiber_components,
     fixed_point_profile,
     full_flag_fiber,
+    generate,
     min_reps,
     weight_set,
 )
@@ -96,6 +98,22 @@ def test_fixed_point_profile_examples(groups):
     assert fixed_point_profile(g, {2}, s1) == {(s1, s1)}
     w = from_word(g, (1, 2))
     assert fixed_point_profile(g, (), w) == {(w, w)}
+
+
+def test_fixed_point_profile_detects_a_non_antisymmetric_order(monkeypatch):
+    g = generate(build_root_system("A2"))
+    reps = min_reps(g, {2}).reps
+    u, w = reps[1], reps[2]
+    assert g.bruhat_leq(u, w) and fixed_point_profile(g, {2}, w) == {(w, w)}
+    rows = list(g.bruhat_rows())
+    up = list(g.bruhat_up_rows())
+    rows[u] |= 1 << w  # declare w <= u as well
+    up[w] |= 1 << u
+    monkeypatch.setattr(g, "bruhat_rows", lambda: rows)
+    monkeypatch.setattr(g, "bruhat_up_rows", lambda: up)
+    profile = fixed_point_profile(g, {2}, w)
+    assert profile != {(w, w)}
+    assert {(u, u), (w, w), (u, w), (w, u)} <= profile
 
 
 def test_weight_set_examples(groups):

@@ -1,5 +1,7 @@
 """Group enumeration, words, longest elements, and the two Bruhat routes."""
 
+import gc
+import weakref
 from itertools import permutations
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BRUHAT_TYPES, SWEEP_TYPES, all_subsets, from_word
-from diagdegen import build_root_system, generate
+from diagdegen import build_root_system, double_min_reps, generate, min_reps
 from diagdegen.oracles import (
     bruhat_rows_by_covers,
     inversions,
@@ -251,3 +253,31 @@ def test_word_products_respect_length_parity(groups, type_str, letters):
     w = from_word(g, word)
     assert g.lengths[w] <= len(word)
     assert g.lengths[w] % 2 == len(word) % 2
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B3", "G2", "B2xA1"])
+def test_left_table_matches_multiply(type_str, groups):
+    g = groups(type_str)
+    left = g.left_table()
+    for w in range(g.order):
+        for i in range(1, g.rs.rank + 1):
+            assert left[w][i - 1] == g.multiply(g.simple(i), w)
+
+
+def test_filled_caches_hold_no_reference_cycle():
+    # Without the collector, only reference counting can free the group:
+    # any cycle through a cache would keep it alive.
+    gc.disable()
+    try:
+        g = generate(build_root_system("B3"))
+        q = min_reps(g, {2, 3})
+        double_min_reps(g, {1}, {2, 3})
+        g.rs.sub_system({2, 3})
+        g.left_table()
+        g.bruhat_up_rows()
+        assert g._quotients and g.rs._sub_systems and g._left_table
+        ref = weakref.ref(g)
+        del g, q
+        assert ref() is None
+    finally:
+        gc.enable()
