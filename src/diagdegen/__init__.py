@@ -7,7 +7,7 @@ corresponding degeneration of the diagonal in G/P x G/P, together with
 brute-force oracles for every nontrivial formula.
 """
 
-from .cosets import QuotientData, double_max_rep, double_min_reps, min_reps
+from .cosets import Quotient, QuotientData, double_max_rep, double_min_reps, min_reps, quotient
 from .degen import (
     FiberComponent,
     UnfaithfulActionError,
@@ -49,6 +49,7 @@ __all__ = [
     "FiberComponent",
     "OrbitDescriptor",
     "PnComponent",
+    "Quotient",
     "QuotientData",
     "RationalPolynomial",
     "RootSystem",
@@ -75,6 +76,7 @@ __all__ = [
     "pairwise_intersection_dim",
     "parse_dynkin",
     "pn_components",
+    "quotient",
     "run_sweep",
     "weight_set",
 ]

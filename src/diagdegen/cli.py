@@ -15,17 +15,12 @@ import json
 import os
 import sys
 import tempfile
+from typing import Callable
 
 from . import degen, projgor, sweep
-from .cosets import min_reps
-from .rootsys import (
-    DynkinError,
-    RootSystem,
-    WeylOrderCapError,
-    build_root_system,
-    parse_dynkin,
-)
-from .weyl import WeylGroup, generate
+from .cosets import quotient
+from .rootsys import DynkinError, RootSystem, WeylOrderCapError, build_root_system
+from .weyl import generate
 from .wonderful import orbit_lattice
 
 VERBS = ("roots", "weyl", "cosets", "orbits", "degen", "flagdegen", "pn", "gorenstein", "sweep")
@@ -88,10 +83,6 @@ def _require_type_a(rs: RootSystem, verb: str) -> int:
     return components[0][1]
 
 
-def _word(g: WeylGroup, w: int) -> list[int]:
-    return list(g.reduced_word(w))
-
-
 def _subset_list(S: frozenset[int]) -> list[int]:
     return sorted(S)
 
@@ -106,10 +97,15 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 # -- verb handlers -----------------------------------------------------------
+#
+# Each handler returns its JSON payload and a function that renders the text
+# output, so the text is only built when it is printed.
+
+Rendered = tuple[dict, Callable[[], str]]
 
 
-def _cmd_roots(ns) -> tuple[dict, str]:
-    rs = build_root_system(parse_dynkin(ns.type))
+def _cmd_roots(ns) -> Rendered:
+    rs = build_root_system(ns.type)
     payload = {
         "verb": "roots",
         "type": str(rs.dynkin),
@@ -118,59 +114,67 @@ def _cmd_roots(ns) -> tuple[dict, str]:
         "n_roots": rs.n_roots,
         "positive": [list(rs.coords(r)) for r in rs.positive_indices()],
     }
-    rows = [
-        [str(r), str(list(rs.coords(r))), str(rs.height(r))]
-        for r in rs.positive_indices()
-    ]
-    text = (
-        f"type {rs.dynkin}: rank {rs.rank}, {rs.n_roots} roots "
-        f"({rs.n_positive} positive)\n"
-        + _table(["idx", "coords", "height"], rows)
-    )
+
+    def text() -> str:
+        rows = [
+            [str(r), str(list(rs.coords(r))), str(rs.height(r))]
+            for r in rs.positive_indices()
+        ]
+        return (
+            f"type {rs.dynkin}: rank {rs.rank}, {rs.n_roots} roots "
+            f"({rs.n_positive} positive)\n"
+            + _table(["idx", "coords", "height"], rows)
+        )
+
     return payload, text
 
 
-def _cmd_weyl(ns) -> tuple[dict, str]:
-    g = generate(build_root_system(parse_dynkin(ns.type)))
+def _cmd_weyl(ns) -> Rendered:
+    g = generate(build_root_system(ns.type))
+    length = g.lengths[g.longest_id]
     payload = {
         "verb": "weyl",
         "type": str(g.rs.dynkin),
         "order": g.order,
         "n_positive": g.rs.n_positive,
-        "longest_word": _word(g, g.longest_id),
+        "longest_word": list(g.reduced_word(g.longest_id)),
     }
-    text = (
-        f"W({g.rs.dynkin}): order {g.order}, longest element length "
-        f"{g.lengths[g.longest_id]}, word {_word(g, g.longest_id)}\n"
-    )
+
+    def text() -> str:
+        return (
+            f"W({payload['type']}): order {payload['order']}, longest element length "
+            f"{length}, word {payload['longest_word']}\n"
+        )
+
     return payload, text
 
 
-def _cmd_cosets(ns) -> tuple[dict, str]:
-    g = generate(build_root_system(parse_dynkin(ns.type)))
-    I = _parse_subset(g.rs, ns.I, "I")
-    q = min_reps(g, I)
+def _cmd_cosets(ns) -> Rendered:
+    rs = build_root_system(ns.type)
+    I = _parse_subset(rs, ns.I, "I")
+    q = quotient(rs, I)
     payload = {
         "verb": "cosets",
-        "type": str(g.rs.dynkin),
+        "type": str(rs.dynkin),
         "I": _subset_list(I),
         "dim_x": q.dim_x,
-        "reps": [_word(g, w) for w in q.reps],
-        "dims": [list(q.cell_dims(w)) for w in q.reps],
+        "reps": [list(word) for word in q.words],
+        "dims": [list(d) for d in q.dims],
     }
-    rows = [
-        [str(_word(g, w)), str(q.cell_dims(w)[0]), str(q.cell_dims(w)[1])]
-        for w in q.reps
-    ]
-    text = (
-        f"W^I for {g.rs.dynkin}, I={_subset_list(I)}: {len(q.reps)} reps, "
-        f"dim X = {q.dim_x}\n" + _table(["word", "dim C", "dim C-"], rows)
-    )
+
+    def text() -> str:
+        rows = [[str(word), str(d[0]), str(d[1])]
+                for word, d in zip(payload["reps"], payload["dims"])]
+        return (
+            f"W^I for {payload['type']}, I={payload['I']}: {len(rows)} reps, "
+            f"dim X = {payload['dim_x']}\n" + _table(["word", "dim C", "dim C-"], rows)
+        )
+
     return payload, text
 
 
-def _cmd_orbits(ns) -> tuple[dict, str]:
-    rs = build_root_system(parse_dynkin(ns.type))
+def _cmd_orbits(ns) -> Rendered:
+    rs = build_root_system(ns.type)
     lattice = orbit_lattice(rs)
     payload = {
         "verb": "orbits",
@@ -187,23 +191,27 @@ def _cmd_orbits(ns) -> tuple[dict, str]:
             for o in lattice
         ],
     }
-    rows = [
-        [str(_subset_list(o.J)), str(o.orbit_dim), str(o.stab_dim),
-         str(o.levi_type) or "-"]
-        for o in lattice
-    ]
-    text = (
-        f"{rs.dynkin}: {len(lattice)} orbits, dim G = {rs.n_roots + rs.rank}\n"
-        + _table(["J", "dim O_J", "dim stab", "levi"], rows)
-    )
+
+    def text() -> str:
+        rows = [
+            [str(_subset_list(o.J)), str(o.orbit_dim), str(o.stab_dim),
+             str(o.levi_type) or "-"]
+            for o in lattice
+        ]
+        return (
+            f"{rs.dynkin}: {len(lattice)} orbits, dim G = {rs.n_roots + rs.rank}\n"
+            + _table(["J", "dim O_J", "dim stab", "levi"], rows)
+        )
+
     return payload, text
 
 
-def _components_payload(g: WeylGroup, comps: list[degen.FiberComponent]) -> list[dict]:
+def _components_payload(rs: RootSystem, I: frozenset[int], J: frozenset[int]) -> list[dict]:
+    q = quotient(rs, I)
     return [
         {
-            "w": _word(g, c.w),
-            "left": _word(g, c.left_index),
+            "w": list(q.words[c.w]),
+            "left": list(q.words[c.left_index]),
             "dims": {
                 "levi": c.levi_quotient_dim,
                 "xminus": c.xminus_dim,
@@ -211,58 +219,58 @@ def _components_payload(g: WeylGroup, comps: list[degen.FiberComponent]) -> list
                 "total": c.total_dim,
             },
         }
-        for c in comps
+        for c in degen.components(rs, q, J)
     ]
 
 
-def _components_text(g: WeylGroup, comps: list[degen.FiberComponent], head: str) -> str:
-    rows = [
-        [str(_word(g, c.w)), str(_word(g, c.left_index)), str(c.levi_quotient_dim),
-         str(c.xminus_dim), str(c.x_dim), str(c.total_dim)]
-        for c in comps
-    ]
+def _components_text(components: list[dict], head: str) -> str:
+    rows = []
+    for c in components:
+        d = c["dims"]
+        rows.append([str(c["w"]), str(c["left"]), str(d["levi"]), str(d["xminus"]),
+                     str(d["x"]), str(d["total"])])
     return head + _table(["w", "left", "levi", "xminus", "x", "total"], rows)
 
 
-def _cmd_degen(ns) -> tuple[dict, str]:
-    g = generate(build_root_system(parse_dynkin(ns.type)))
-    I = _parse_subset(g.rs, ns.I, "I")
-    J = _parse_subset(g.rs, ns.J, "J")
-    comps = degen.fiber_components(g, I, J)
+def _cmd_degen(ns) -> Rendered:
+    rs = build_root_system(ns.type)
+    I = _parse_subset(rs, ns.I, "I")
+    J = _parse_subset(rs, ns.J, "J")
+    comps = _components_payload(rs, I, J)
     payload = {
         "verb": "degen",
-        "type": str(g.rs.dynkin),
+        "type": str(rs.dynkin),
         "I": _subset_list(I),
         "J": _subset_list(J),
-        "dim_x": comps[0].total_dim if comps else 0,
-        "components": _components_payload(g, comps),
+        "dim_x": comps[0]["dims"]["total"] if comps else 0,
+        "components": comps,
     }
     head = (
-        f"degeneration over J={_subset_list(J)} for {g.rs.dynkin}, "
+        f"degeneration over J={_subset_list(J)} for {rs.dynkin}, "
         f"I={_subset_list(I)}: {len(comps)} components\n"
     )
-    return payload, _components_text(g, comps, head)
+    return payload, lambda: _components_text(comps, head)
 
 
-def _cmd_flagdegen(ns) -> tuple[dict, str]:
-    g = generate(build_root_system(parse_dynkin(ns.type)))
-    J = _parse_subset(g.rs, ns.J, "J")
-    comps = degen.full_flag_fiber(g, J)
+def _cmd_flagdegen(ns) -> Rendered:
+    rs = build_root_system(ns.type)
+    J = _parse_subset(rs, ns.J, "J")
+    comps = _components_payload(rs, frozenset(), J)
     payload = {
         "verb": "flagdegen",
-        "type": str(g.rs.dynkin),
+        "type": str(rs.dynkin),
         "J": _subset_list(J),
-        "components": _components_payload(g, comps),
+        "components": comps,
     }
     head = (
-        f"full-flag degeneration over J={_subset_list(J)} for {g.rs.dynkin}: "
+        f"full-flag degeneration over J={_subset_list(J)} for {rs.dynkin}: "
         f"{len(comps)} components\n"
     )
-    return payload, _components_text(g, comps, head)
+    return payload, lambda: _components_text(comps, head)
 
 
-def _cmd_pn(ns) -> tuple[dict, str]:
-    rs = build_root_system(parse_dynkin(ns.type))
+def _cmd_pn(ns) -> Rendered:
+    rs = build_root_system(ns.type)
     n = _require_type_a(rs, "pn")
     J = _parse_subset(rs, ns.J, "J")
     comp = projgor.composition_from_J(n, J)
@@ -284,21 +292,24 @@ def _cmd_pn(ns) -> tuple[dict, str]:
             for c in components
         ],
     }
-    rows = [
-        [str(c.i), str(c.w_value), str(c.x_dim), str(c.y_dim), str(c.fiber_dim),
-         "yes" if c.smooth else "no"]
-        for c in components
-    ]
-    text = (
-        f"P^{n} with blocks {list(comp.blocks)} (J={_subset_list(J)}): "
-        f"{len(components)} components\n"
-        + _table(["i", "w(1)", "x", "y", "fiber", "smooth"], rows)
-    )
+
+    def text() -> str:
+        rows = [
+            [str(c.i), str(c.w_value), str(c.x_dim), str(c.y_dim), str(c.fiber_dim),
+             "yes" if c.smooth else "no"]
+            for c in components
+        ]
+        return (
+            f"P^{n} with blocks {list(comp.blocks)} (J={_subset_list(J)}): "
+            f"{len(components)} components\n"
+            + _table(["i", "w(1)", "x", "y", "fiber", "smooth"], rows)
+        )
+
     return payload, text
 
 
-def _cmd_gorenstein(ns) -> tuple[dict, str]:
-    rs = build_root_system(parse_dynkin(ns.type))
+def _cmd_gorenstein(ns) -> Rendered:
+    rs = build_root_system(ns.type)
     n = _require_type_a(rs, "gorenstein")
     h = projgor.diag_hilbert_poly(n)
     p = projgor.gorenstein_obstruction(n, ns.variant)
@@ -309,17 +320,20 @@ def _cmd_gorenstein(ns) -> tuple[dict, str]:
         "p": p,
         "hilbert": h.json_coeffs(),
     }
-    text = (
-        f"P^{n}: Hilbert polynomial coefficients {h.json_coeffs()}\n"
-        f"variant {ns.variant}: "
-        + (f"p = {p}\n" if p is not None else "no integer p (Gorenstein obstructed)\n")
-    )
+
+    def text() -> str:
+        return (
+            f"P^{n}: Hilbert polynomial coefficients {h.json_coeffs()}\n"
+            f"variant {ns.variant}: "
+            + (f"p = {p}\n" if p is not None else "no integer p (Gorenstein obstructed)\n")
+        )
+
     return payload, text
 
 
-def _cmd_sweep(ns) -> tuple[dict, str]:
+def _cmd_sweep(ns) -> Rendered:
     report = sweep.run_sweep(ns.type)
-    return {"verb": "sweep"} | report.to_json_obj(), report.format_text()
+    return {"verb": "sweep"} | report.to_json_obj(), report.format_text
 
 
 _DISPATCH = {
@@ -369,7 +383,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 4
     rendered = (
-        json.dumps(payload, indent=2, sort_keys=True) + "\n" if ns.json else text
+        json.dumps(payload, indent=2, sort_keys=True) + "\n" if ns.json else text()
     )
     if ns.out:
         try:

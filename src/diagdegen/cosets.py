@@ -1,13 +1,19 @@
 """Minimal coset and double-coset representatives, with Schubert cell dimensions.
 
-``min_reps`` realizes the quotient W/W_I through its canonical system of
+The quotient W/W_I is realized through its canonical system of
 minimal-length representatives W^I = {w : w(I) > 0}; these index the
 T-fixed points and the Schubert cells of G/P_I.  Double cosets W_J\\W/W_I
 are represented by ^J W^I = {w : w(I) > 0 and w^-1(J) > 0}.  The explicit
 subset enumerations that double-check both live in :mod:`diagdegen.oracles`.
 
-The quotient is the unit of work: ``min_reps`` computes W^I once per group
-and ``I``, and ``^J W^I`` is filtered out of it.
+The quotient is the unit of work.  :func:`quotient` walks W^I by length
+from the root system alone, never building W: a walk of W(E6)/W(D5) visits
+27 permutations, not 51 840.  The catalogue verbs (``cosets``, ``degen``,
+``flagdegen``) read everything from the walk; ``^J W^I`` and the left
+action on W/W_I come out of its left table.  ``min_reps``,
+``double_min_reps`` and :func:`diagdegen.degen.fiber_components` adapt the
+walk to the ids of an enumerated group, for the sweep and the tests, and
+cache it once per group and ``I``.
 """
 
 from __future__ import annotations
@@ -16,34 +22,172 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from .rootsys import RootSystem
 from .weyl import WeylGroup
+
+
+@dataclass(frozen=True)
+class Quotient:
+    """W^I listed by a walk: entry k describes the k-th representative w_k.
+
+    Entries are sorted as the ids of :func:`diagdegen.weyl.generate` sort
+    (by length, then by lexicographically least reduced word).  ``words``
+    holds the reduced word that ``WeylGroup.reduced_word`` prints.
+    ``left[k][a - 1]`` is the entry of the coset s_a w_k W_I, which is
+    either s_a w_k or w_k itself.  Bit r of ``cell_roots[k]`` is set iff
+    w_k^-1 sends root r to a negative root off Phi_I; its positive bits
+    count dim C_w, its negative bits dim C-_w.
+    """
+
+    I: frozenset[int]
+    dim_x: int
+    lengths: tuple[int, ...]
+    words: tuple[tuple[int, ...], ...]
+    dims: tuple[tuple[int, int], ...]
+    left: tuple[tuple[int, ...], ...]
+    cell_roots: tuple[int, ...]
+
+    def act(self, word: Iterable[int], k: int = 0) -> int:
+        """The entry of the coset s_{a_1} ... s_{a_m} w_k W_I, for word (a_1, ..., a_m)."""
+        left = self.left
+        for a in reversed(tuple(word)):
+            k = left[k][a - 1]
+        return k
+
+    def double(self, J: Iterable[int]) -> tuple[int, ...]:
+        """Entries of ^J W^I: the w_k that no s_j, j in J, shortens."""
+        # Entries are sorted by length, so s_j shortens w_k iff its entry is < k.
+        J = [j - 1 for j in sorted(J)]
+        out = []
+        for k, row in enumerate(self.left):
+            for j in J:
+                if row[j] < k:
+                    break
+            else:
+                out.append(k)
+        return tuple(out)
+
+
+def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
+    """Walk W^I breadth-first by left multiplication s_a * w on root permutations.
+
+    For w in W^I, s_a w is shorter than w, or lies in W^I one longer, or
+    equals w s_i for some i in I (Deodhar's lemma), so the walk never leaves
+    W^I.  W^I is closed under removing left descents, and the least reduced
+    word of w starts with its smallest left descent, so visiting each layer
+    letter by letter and then in order assigns entries in id order.
+
+    Self-checks: |W^I| = |W| / |W_I| by the degree formula, and every cell
+    satisfies dim C_w = length(w) and dim C_w + dim C-_w = dim G/P_I.
+    """
+    I = rs.simple_subset(I)
+    n, n_pos, rank = rs.n_roots, rs.n_positive, rs.rank
+    simple = [rs.simple_index(a) for a in range(1, rank + 1)]
+    refl = [tuple(rs.reflect(a, r) for r in range(n)) for a in range(1, rank + 1)]
+    phi_i = rs.sub_system(I)
+    off_neg = [b for b in range(n_pos, n) if b not in phi_i]
+    dim_x = len(off_neg)
+    pos_mask = (1 << n_pos) - 1
+    i_roots = [simple[i - 1] for i in sorted(I)]
+
+    identity = tuple(range(n))
+    index = {identity: 0}  # root permutation of w_k -> k, over all of W^I
+    off: dict[tuple[int, ...], tuple[int, ...]] = {}  # words of prefixes off W^I
+
+    def word_of(p: tuple[int, ...]) -> tuple[int, ...]:
+        # Strip the smallest right descent (w(alpha_d) < 0) until a known word.
+        chain = []
+        while True:
+            k = index.get(p)
+            if k is not None:
+                out = words[k]
+                break
+            out = off.get(p)
+            if out is not None:
+                break
+            d = next(d for d in range(rank) if p[simple[d]] >= n_pos)
+            chain.append((p, d + 1))
+            p = tuple(map(p.__getitem__, refl[d]))
+        for p, d in reversed(chain):
+            out = out + (d,)
+            off[p] = out
+        return out
+
+    lengths = [0]
+    words: list[tuple[int, ...]] = [()]
+    dims: list[tuple[int, int]] = []
+    cell_roots: list[int] = []
+    left: list[tuple[int, ...]] = []
+    rows = {0: [0] * rank}  # left-table rows of the current and the next layer
+    layer = [identity]
+    while layer:
+        base = len(left)
+        length = lengths[base]
+        for k, p in enumerate(layer, base):
+            mask = 0
+            for b in off_neg:
+                mask |= 1 << p[b]
+            plus = (mask & pos_mask).bit_count()
+            minus = (mask >> n_pos).bit_count()
+            if plus != length or plus + minus != dim_x:
+                raise RuntimeError(f"cell dimensions of rep {k} are inconsistent")
+            dims.append((plus, minus))
+            cell_roots.append(mask)
+        fixed = [{p[r] for r in i_roots} for p in layer]
+        nxt = []
+        for a in range(rank):
+            root, sa = simple[a], refl[a]
+            for k, p in enumerate(layer, base):
+                if (cell_roots[k] >> root) & 1:
+                    continue  # a left descent, filled in from below
+                if root in fixed[k - base]:
+                    rows[k][a] = k  # s_a w = w s_i stays in the coset
+                    continue
+                v = tuple(map(sa.__getitem__, p))
+                j = index.get(v)
+                if j is None:
+                    j = index[v] = len(lengths)
+                    lengths.append(length + 1)
+                    rows[j] = [0] * rank
+                    nxt.append(v)
+                rows[k][a] = j
+                rows[j][a] = k
+        for k in range(base, base + len(layer)):
+            left.append(tuple(rows.pop(k)))
+        for p in nxt:
+            d = next(d for d in range(rank) if p[simple[d]] >= n_pos)
+            words.append(word_of(tuple(map(p.__getitem__, refl[d]))) + (d + 1,))
+        layer = nxt
+
+    expected = rs.dynkin.weyl_order() // rs.subdiagram_type(I).weyl_order()
+    if len(lengths) != expected:
+        raise RuntimeError(
+            f"{rs.dynkin}: walked {len(lengths)} representatives of W^I, "
+            f"the order formula says {expected}"
+        )
+    return Quotient(I, dim_x, tuple(lengths), tuple(words), tuple(dims),
+                    tuple(left), tuple(cell_roots))
 
 
 @dataclass
 class QuotientData:
-    """The quotient W/W_I: sorted minimal representatives and cell dimensions."""
+    """The quotient W/W_I in the ids of an enumerated group, with its walk."""
 
     group: WeylGroup
     I: frozenset[int]
     reps: tuple[int, ...]
     dims: Mapping[int, tuple[int, int]]
     dim_x: int
+    walk: Quotient
+    #: Bit w is set iff w is in W^I.
+    rep_mask: int
 
     def __contains__(self, w: int) -> bool:
         return w in self.dims
 
     def canonicalize(self, w: int) -> int:
-        """The unique member of W^I in the coset w W_I."""
-        g = self.group
-        rs = g.rs
-        simple = [(i, rs.simple_index(i)) for i in sorted(self.I)]
-        while True:
-            for i, root in simple:
-                if not rs.is_positive(g.act(w, root)):
-                    w = g.gen_table[w][i - 1]
-                    break
-            else:
-                return w
+        """The unique member of W^I in the coset w W_I, read from the left table."""
+        return self.reps[self.walk.act(self.group.words[w])]
 
     def cell_dims(self, w: int) -> tuple[int, int]:
         """(dim C_w, dim C-_w) for a representative w; raises off W^I."""
@@ -71,59 +215,39 @@ def min_reps(g: WeylGroup, I: Iterable[int]) -> QuotientData:
     Phi_I, dim C-_w the negative ones; they always satisfy
     dim C_w = length(w) and dim C_w + dim C-_w = dim G/P_I.
 
-    The data is computed once per group and I and cached on the group as a
-    plain tuple with a read-only dims mapping; every call wraps it in a new
+    The walk of :func:`quotient` is mapped to ids by multiplying out its
+    words, once per group and I, and cached on the group as a plain tuple
+    with a read-only dims mapping; every call wraps it in a new
     QuotientData, so the cache never refers back to the group.
     """
     I = g.rs.simple_subset(I)
     cached = g._quotients.get(I)
     if cached is None:
-        cached = g._quotients[I] = _quotient(g, I)
+        walk = quotient(g.rs, I)
+        gen_table = g.gen_table
+        reps = []
+        for word in walk.words:
+            w = 0
+            for a in word:
+                w = gen_table[w][a - 1]
+            reps.append(w)
+        if any(u >= v for u, v in zip(reps, reps[1:])):
+            raise RuntimeError(f"walk of W^I for I={sorted(I)} is out of id order")
+        rep_mask = 0
+        for w in reps:
+            rep_mask |= 1 << w
+        dims = MappingProxyType(dict(zip(reps, walk.dims)))
+        cached = g._quotients[I] = (tuple(reps), dims, walk.dim_x, walk, rep_mask)
     return QuotientData(g, I, *cached)
-
-
-def _quotient(g: WeylGroup, I: frozenset[int]) -> tuple:
-    rs = g.rs
-    simple_roots = [rs.simple_index(i) for i in sorted(I)]
-    reps = tuple(
-        w for w in range(g.order)
-        if all(rs.is_positive(g.act(w, r)) for r in simple_roots)
-    )
-    phi_i = rs.sub_system(I)
-    dim_x = rs.n_positive - len(phi_i) // 2
-    dims = {}
-    for w in reps:
-        wi = g.inverse(w)
-        perm = g.perms[wi]
-        plus = 0
-        minus = 0
-        for a in range(rs.n_roots):
-            b = perm[a]
-            if rs.is_positive(b) or b in phi_i:
-                continue
-            if rs.is_positive(a):
-                plus += 1
-            else:
-                minus += 1
-        if plus != g.lengths[w] or plus + minus != dim_x:
-            raise RuntimeError(f"cell dimensions of rep {w} are inconsistent")
-        dims[w] = (plus, minus)
-    return reps, MappingProxyType(dims), dim_x
 
 
 def double_min_reps(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> tuple[int, ...]:
     """Sorted ids of ^J W^I, the minimal double-coset representatives.
 
-    Filtered from W^I: the members w with w^-1(J) > 0.
+    Filtered from W^I by the left table: the members that no s_j shortens.
     """
-    rs = g.rs
-    left = [rs.simple_index(j) for j in sorted(rs.simple_subset(J))]
-    out = []
-    for w in min_reps(g, I).reps:
-        wi = g.inverse(w)
-        if all(rs.is_positive(g.act(wi, r)) for r in left):
-            out.append(w)
-    return tuple(out)
+    q = min_reps(g, I)
+    return tuple(q.reps[k] for k in q.walk.double(g.rs.simple_subset(J)))
 
 
 def double_max_rep(g: WeylGroup, J: Iterable[int], I: Iterable[int], w: int) -> int:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .cosets import QuotientData, double_min_reps, min_reps
+from .cosets import Quotient, double_min_reps, min_reps
+from .rootsys import RootSystem
 from .weyl import WeylGroup
 
 
@@ -32,9 +33,9 @@ class UnfaithfulActionError(ValueError):
     """Raised when I swallows a diagram component, so G does not act faithfully."""
 
 
-def _require_faithful(g: WeylGroup, I: frozenset[int]) -> None:
-    if not g.rs.is_faithful(I):
-        comp = next(c for c in g.rs.diagram_components() if c <= I)
+def _require_faithful(rs: RootSystem, I: frozenset[int]) -> None:
+    if not rs.is_faithful(I):
+        comp = next(c for c in rs.diagram_components() if c <= I)
         raise UnfaithfulActionError(
             f"I is not faithful: it contains the diagram component {sorted(comp)}"
         )
@@ -42,7 +43,11 @@ def _require_faithful(g: WeylGroup, I: frozenset[int]) -> None:
 
 @dataclass(frozen=True)
 class FiberComponent:
-    """One component Z_w, with its dimension split (levi + xminus + x)."""
+    """One component Z_w, with its dimension split (levi + xminus + x).
+
+    ``w`` and ``left_index`` are entries of the walk of W^I when built by
+    :func:`components`, and group ids when built by :func:`fiber_components`.
+    """
 
     w: int
     left_index: int
@@ -59,34 +64,66 @@ class FiberComponent:
         return self.levi_quotient_dim + self.xminus_dim + self.x_dim
 
 
+def components(rs: RootSystem, q: Quotient, J: Iterable[int]) -> list[FiberComponent]:
+    """Catalogue the components of the degeneration over the stratum J.
+
+    One component per w in ^J W^I, read off the walk q of W^I: its left
+    index is the coset of w_J w, applied letter by letter through the left
+    table, and its Levi part counts the roots of Phi_J that w^-1 sends to
+    negative roots off Phi_I.
+    """
+    return [FiberComponent(*c) for c in _catalogue(rs, q, J)]
+
+
 def fiber_components(g: WeylGroup, I: Iterable[int], J: Iterable[int]) -> list[FiberComponent]:
-    """Catalogue the components of the degeneration over the stratum J."""
-    rs = g.rs
-    I = rs.simple_subset(I)
-    J = rs.simple_subset(J)
-    _require_faithful(g, I)
+    """:func:`components` in the ids of the group g."""
     q = min_reps(g, I)
-    w_j = g.longest_in(J)
-    phi_j = rs.sub_system(J)
-    phi_i = rs.sub_system(I)
-    out = []
-    for w in double_min_reps(g, J, I):
-        left = q.canonicalize(g.multiply(w_j, w))
-        inv = g.perms[g.inverse(w)]
-        levi = sum(
-            1 for a in phi_j
-            if not rs.is_positive(inv[a]) and inv[a] not in phi_i
-        )
-        x_dim, _ = q.cell_dims(w)
-        _, xminus = q.cell_dims(left)
-        out.append(FiberComponent(w, left, levi, xminus, x_dim))
-    return out
+    reps = q.reps
+    return [
+        FiberComponent(reps[w], reps[left], *dims)
+        for w, left, *dims in _catalogue(g.rs, q.walk, J)
+    ]
+
+
+def _catalogue(rs: RootSystem, q: Quotient, J: Iterable[int]):
+    J = rs.simple_subset(J)
+    _require_faithful(rs, q.I)
+    w_j = _longest_word(rs, J)
+    phi_j = 0
+    for r in rs.sub_system(J):
+        phi_j |= 1 << r
+    cell_roots, dims = q.cell_roots, q.dims
+    for w in q.double(J):
+        left = q.act(w_j, w)
+        yield w, left, (cell_roots[w] & phi_j).bit_count(), dims[left][1], dims[w][0]
+
+
+def _longest_word(rs: RootSystem, J: frozenset[int]) -> tuple[int, ...]:
+    """A reduced word of the longest element w_J of W_J.
+
+    Reflects the weight rho (1 on every simple coroot) by s_j while some
+    j in J pairs positively with it; the product of the letters taken
+    then sends rho to a J-antidominant weight, so it is w_J.
+    """
+    cartan = rs.cartan
+    mu = [1] * rs.rank
+    word = []
+    while True:
+        j = next((j for j in sorted(J) if mu[j - 1] > 0), None)
+        if j is None:
+            word.reverse()
+            return tuple(word)
+        c = mu[j - 1]
+        row = cartan[j - 1]
+        for i in range(rs.rank):
+            mu[i] -= c * row[i]
+        word.append(j)
 
 
 def component_count(g: WeylGroup, I: Iterable[int], J: Iterable[int]) -> int:
     """Number of irreducible components over the stratum J (= |^J W^I|)."""
     I = g.rs.simple_subset(I)
-    _require_faithful(g, I)
+    _require_faithful(g.rs, I)
     return len(double_min_reps(g, J, I))
 
 
@@ -98,7 +135,7 @@ def closed_fiber(g: WeylGroup, I: Iterable[int]) -> list[tuple[int, int]]:
     compared.
     """
     I = g.rs.simple_subset(I)
-    _require_faithful(g, I)
+    _require_faithful(g.rs, I)
     return [(w, w) for w in min_reps(g, I).reps]
 
 
@@ -121,11 +158,8 @@ def fixed_point_profile(g: WeylGroup, I: Iterable[int], w: int) -> set[tuple[int
     if rows is not None:
         up = g.bruhat_up_rows()
         assert up is not None
-        rep_mask = 0
-        for u in q.reps:
-            rep_mask |= 1 << u
-        down_w = rows[w] & rep_mask
-        up_w = up[w] & rep_mask
+        down_w = rows[w] & q.rep_mask
+        up_w = up[w] & q.rep_mask
         out = set()
         for x in _bits(down_w & up_w):
             out.update(product(_bits(up[x] & down_w), _bits(rows[x] & up_w)))

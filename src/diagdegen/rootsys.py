@@ -15,10 +15,9 @@ root against the j-th simple coroot, so the simple reflection acts by
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Coords = tuple[int, ...]
 
@@ -55,18 +54,22 @@ def _check_component(family: str, rank: int) -> None:
         )
 
 
-def _component_weyl_order(family: str, rank: int) -> int:
+def _degrees(family: str, rank: int) -> Iterator[int]:
+    """Degrees of the basic invariants of W; their product is the order of W."""
     if family == "A":
-        return math.factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2**rank * math.factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
-    if family == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[rank]
-    if family == "F":
-        return 1152
-    return 12  # G2
+        yield from range(2, rank + 2)
+    elif family in ("B", "C"):
+        yield from range(2, 2 * rank + 1, 2)
+    elif family == "D":
+        yield rank
+        yield from range(2, 2 * rank - 1, 2)
+    elif family == "E":
+        yield from {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+                    8: (2, 8, 12, 14, 18, 20, 24, 30)}[rank]
+    elif family == "F":
+        yield from (2, 6, 8, 12)
+    else:  # G2
+        yield from (2, 6)
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,18 @@ class DynkinType:
     def rank(self) -> int:
         return sum(rank for _, rank in self.components)
 
-    def weyl_order(self) -> int:
+    def weyl_order(self, cap: int | None = None) -> int:
+        """Order of the Weyl group, multiplied out from the degrees.
+
+        With a cap, stops at the first partial product over it, so a huge
+        rank costs a few multiplications, not a factorial.
+        """
         out = 1
         for family, rank in self.components:
-            out *= _component_weyl_order(family, rank)
+            for d in _degrees(family, rank):
+                out *= d
+                if cap is not None and out > cap:
+                    return out
         return out
 
     def __str__(self) -> str:
@@ -102,7 +113,11 @@ def parse_dynkin(text: str) -> DynkinType:
         m = _COMPONENT_RE.match(part)
         if m is None:
             raise DynkinError(f"cannot parse component {part!r} (expected e.g. A3, B2)")
-        family, rank = m.group(1), int(m.group(2))
+        family, digits = m.groups()
+        try:
+            rank = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise DynkinError(f"{family}: rank has {len(digits)} digits") from None
         if family in ("H", "I"):
             raise DynkinError(f"{part}: non-crystallographic family")
         if family not in _MIN_RANK and family != "E":
@@ -365,10 +380,8 @@ def build_root_system(t: DynkinType | str) -> RootSystem:
     """
     if isinstance(t, str):
         t = parse_dynkin(t)
-    if t.weyl_order() > WEYL_ORDER_CAP:
-        raise WeylOrderCapError(
-            f"{t}: Weyl group order {t.weyl_order()} exceeds cap {WEYL_ORDER_CAP}"
-        )
+    if t.weyl_order(cap=WEYL_ORDER_CAP) > WEYL_ORDER_CAP:
+        raise WeylOrderCapError(f"{t}: Weyl group order exceeds cap {WEYL_ORDER_CAP}")
     rank = t.rank
     cartan = _block_diagonal([_component_cartan(f, n) for f, n in t.components])
 

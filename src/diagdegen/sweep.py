@@ -98,6 +98,8 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
         counts_by_j: dict[frozenset[int], int] = {}
         for J in all_subsets:
             comps = degen.fiber_components(g, I, J)
+            if not J:
+                closed_comps = comps
             payload = {"I": payload_i, "J": sorted(J)}
 
             equidim.cases += len(comps)
@@ -130,7 +132,7 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
                     )
 
         closed.cases += 1
-        pairs = [c.schubert_pair for c in degen.fiber_components(g, I, frozenset())]
+        pairs = [c.schubert_pair for c in closed_comps]
         direct = degen.closed_fiber(g, I)
         if pairs != direct:
             closed.failures.append({"I": payload_i, "pairs": len(pairs), "direct": len(direct)})

@@ -14,8 +14,14 @@ independent reflection-cover oracle lives in :mod:`diagdegen.oracles`.
 
 Derived tables (inverses, left multiplication, the Bruhat matrix, and the
 quotient data of :func:`diagdegen.cosets.min_reps` per ``I``) are built
-lazily on first use and hold plain ids only, never a reference back to the
-group, so dropping the last reference to a group frees it at once.
+lazily on first use and hold plain ids and tuples only, never a reference
+back to the group, so dropping the last reference to a group frees it at
+once.
+
+Only the ``weyl`` and ``sweep`` verbs, the Bruhat order and the oracles
+enumerate W.  The catalogue verbs (``cosets``, ``degen``, ``flagdegen``)
+walk W^I with :func:`diagdegen.cosets.quotient` and never call
+:func:`generate`.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ class WeylGroup:
         self._bruhat_rows: list[int] | None = None
         self._bruhat_up_rows: list[int] | None = None
         self._reflections: tuple[int, ...] | None = None
-        #: Raw ``(reps, dims, dim_x)`` of W^I per I, filled by ``min_reps``.
+        #: ``(reps, dims, dim_x, walk, rep_mask)`` of W^I per I, filled by ``min_reps``.
         self._quotients: dict[frozenset[int], tuple] = {}
 
     @property

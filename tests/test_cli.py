@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 import os
+import time
 
 import jsonschema
 import pytest
@@ -85,6 +86,39 @@ def test_rank_cap_exits_3(capsys):
     code, _, err = run_capture(capsys, ["sweep", "E7"])
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("type_str", ["A3000", "A300000", "B2xD100000"])
+def test_huge_rank_is_refused_cheaply(capsys, type_str):
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, ["roots", type_str])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds cap" in err
+
+
+def test_rank_beyond_int_conversion_exits_2(capsys):
+    code, out, err = run_capture(capsys, ["roots", "A" + "9" * 5000])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["cosets", "E6", "--I", "2,3,4,5,6"],
+    ["degen", "E6", "--I", "1,2,3,4,5", "--J", "2,4", "--json"],
+    ["flagdegen", "B3", "--J", "1"],
+], ids=" ".join)
+def test_catalogue_verbs_never_enumerate_w(monkeypatch, capsys, argv):
+    def refuse(rs):
+        raise AssertionError("the catalogue verbs must not enumerate W")
+
+    monkeypatch.setattr("diagdegen.weyl.generate", refuse)
+    monkeypatch.setattr("diagdegen.cli.generate", refuse)
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_usage_errors_exit_2(capsys):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SWEEP_TYPES, all_subsets, faithful_subsets, from_word
-from diagdegen import double_max_rep, double_min_reps, min_reps
+from conftest import BRUHAT_TYPES, SWEEP_TYPES, all_subsets, faithful_subsets, from_word
+from diagdegen import build_root_system, double_max_rep, double_min_reps, min_reps, quotient
 from diagdegen.oracles import coset_min_reps, double_coset_min_reps, double_cosets, subgroup_ids
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "A1xA1", "A2xA1"]
@@ -227,3 +227,70 @@ def test_canonicalize_is_constant_on_cosets(groups, type_str, data):
     c = q.canonicalize(w)
     for i in sorted(I):
         assert q.canonicalize(g.gen_table[w][i - 1]) == c
+
+
+# -- the walk of W^I ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("type_str", BRUHAT_TYPES)
+def test_walk_reps_match_coset_oracle(type_str, groups):
+    g = groups(type_str)
+    for I in all_subsets(g.rs.rank):
+        assert min_reps(g, I).reps == coset_min_reps(g, I)
+
+
+@pytest.mark.parametrize("type_str", BRUHAT_TYPES)
+def test_walk_words_and_lengths_match_group(type_str, groups):
+    g = groups(type_str)
+    for I in all_subsets(g.rs.rank):
+        q = min_reps(g, I)
+        walk = q.walk
+        assert walk.words == tuple(g.reduced_word(w) for w in q.reps)
+        assert walk.lengths == tuple(g.lengths[w] for w in q.reps)
+
+
+@pytest.mark.parametrize("type_str", BRUHAT_TYPES)
+def test_walk_left_table_is_the_left_action(type_str, groups):
+    g = groups(type_str)
+    rank = g.rs.rank
+    for I in all_subsets(rank):
+        q = min_reps(g, I)
+        for k, w in enumerate(q.reps):
+            for a in range(1, rank + 1):
+                entry = q.reps[q.walk.left[k][a - 1]]
+                assert entry == q.canonicalize(g.multiply(g.simple(a), w))
+
+
+@pytest.mark.parametrize("type_str", SMALL_TYPES)
+def test_walk_left_table_lands_in_coset(type_str, groups):
+    # independent of canonicalize: (s_a w)^-1 times the entry lies in W_I
+    g = groups(type_str)
+    rank = g.rs.rank
+    for I in all_subsets(rank):
+        q = min_reps(g, I)
+        sub = subgroup_ids(g, I)
+        for k, w in enumerate(q.reps):
+            for a in range(1, rank + 1):
+                v = g.multiply(g.simple(a), w)
+                entry = q.reps[q.walk.left[k][a - 1]]
+                assert g.multiply(g.inverse(v), entry) in sub
+
+
+@pytest.mark.parametrize("type_str", SMALL_TYPES)
+def test_walk_double_matches_oracle(type_str, groups):
+    g = groups(type_str)
+    subsets = all_subsets(g.rs.rank)
+    for I in subsets:
+        q = min_reps(g, I)
+        for J in subsets:
+            reps = tuple(q.reps[k] for k in q.walk.double(J))
+            assert reps == double_coset_min_reps(g, J, I)
+
+
+def test_walk_of_e6_maximal_parabolic():
+    # W(E6)/W(D5): the 27 lines, walked without enumerating W(E6)
+    q = quotient(build_root_system("E6"), {2, 3, 4, 5, 6})
+    assert len(q.lengths) == 27 and q.dim_x == 16
+    assert q.lengths == tuple(sorted(q.lengths)) and q.lengths[-1] == 16
+    assert q.words[:3] == ((), (1,), (3, 1))
+    assert all(plus == length for (plus, _), length in zip(q.dims, q.lengths))

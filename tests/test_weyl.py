@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BRUHAT_TYPES, SWEEP_TYPES, all_subsets, from_word
-from diagdegen import build_root_system, double_min_reps, generate, min_reps
+from diagdegen import (
+    build_root_system,
+    double_min_reps,
+    fiber_components,
+    fixed_point_profile,
+    generate,
+    min_reps,
+)
 from diagdegen.oracles import (
     bruhat_rows_by_covers,
     inversions,
@@ -275,7 +282,11 @@ def test_filled_caches_hold_no_reference_cycle():
         g.rs.sub_system({2, 3})
         g.left_table()
         g.bruhat_up_rows()
-        assert g._quotients and g.rs._sub_systems and g._left_table
+        # the walk, its id map and the W^I bitmask, for a second I
+        fiber_components(g, {3}, {1, 2})
+        fixed_point_profile(g, {3}, g.simple(1))
+        q.canonicalize(g.longest_id)
+        assert len(g._quotients) == 2 and g.rs._sub_systems and g._left_table
         ref = weakref.ref(g)
         del g, q
         assert ref() is None
