@@ -5,78 +5,47 @@ package computes the orbit lattice of the wonderful compactification of
 the adjoint group and the full catalogue of irreducible components of the
 corresponding degeneration of the diagonal in G/P x G/P, together with
 brute-force oracles for every nontrivial formula.
+
+The names in ``__all__`` resolve lazily (PEP 562): importing the package,
+or one of its modules, loads only the modules that are actually used.
 """
 
-from .cosets import Quotient, QuotientData, double_max_rep, double_min_reps, min_reps, quotient
-from .degen import (
-    FiberComponent,
-    UnfaithfulActionError,
-    closed_fiber,
-    component_count,
-    fiber_components,
-    fixed_point_profile,
-    full_flag_fiber,
-    weight_set,
-)
-from .projgor import (
-    Composition,
-    PnComponent,
-    RationalPolynomial,
-    composition_from_J,
-    diag_hilbert_poly,
-    gorenstein_obstruction,
-    pairwise_intersection_dim,
-    pn_components,
-)
-from .rootsys import (
-    DynkinError,
-    DynkinType,
-    RootSystem,
-    WeylOrderCapError,
-    build_root_system,
-    parse_dynkin,
-)
-from .sweep import SweepReport, run_sweep
-from .weyl import WeylElement, WeylGroup, generate
-from .wonderful import OrbitDescriptor, orbit, orbit_lattice
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Composition",
-    "DynkinError",
-    "DynkinType",
-    "FiberComponent",
-    "OrbitDescriptor",
-    "PnComponent",
-    "Quotient",
-    "QuotientData",
-    "RationalPolynomial",
-    "RootSystem",
-    "SweepReport",
-    "UnfaithfulActionError",
-    "WeylElement",
-    "WeylGroup",
-    "WeylOrderCapError",
-    "build_root_system",
-    "closed_fiber",
-    "component_count",
-    "composition_from_J",
-    "diag_hilbert_poly",
-    "double_max_rep",
-    "double_min_reps",
-    "fiber_components",
-    "fixed_point_profile",
-    "full_flag_fiber",
-    "generate",
-    "gorenstein_obstruction",
-    "min_reps",
-    "orbit",
-    "orbit_lattice",
-    "pairwise_intersection_dim",
-    "parse_dynkin",
-    "pn_components",
-    "quotient",
-    "run_sweep",
-    "weight_set",
-]
+#: The two readings of the Gorenstein equation in :mod:`diagdegen.projgor`,
+#: kept here so the CLI can offer them without importing that module.
+VARIANTS = ("paper", "signed")
+
+_EXPORTS = {
+    "cosets": ("Quotient", "QuotientData", "double_max_rep", "double_min_reps", "min_reps",
+               "quotient"),
+    "degen": ("FiberComponent", "UnfaithfulActionError", "closed_fiber", "component_count",
+              "fiber_components", "fixed_point_profile", "full_flag_fiber", "weight_set"),
+    "projgor": ("Composition", "PnComponent", "RationalPolynomial", "composition_from_J",
+                "diag_hilbert_poly", "gorenstein_obstruction", "pairwise_intersection_dim",
+                "pn_components"),
+    "rootsys": ("DynkinError", "DynkinType", "RootSystem", "WeylOrderCapError",
+                "build_root_system", "parse_dynkin"),
+    "sweep": ("SweepReport", "run_sweep"),
+    "weyl": ("WeylGroup", "generate"),
+    "wonderful": ("OrbitDescriptor", "orbit", "orbit_lattice"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        # Submodule names must fail here too, so `from diagdegen import cli` imports cli.
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys())

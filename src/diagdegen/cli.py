@@ -11,17 +11,17 @@ that cannot be written), 3 domain errors (rank cap, non-faithful I),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import tempfile
 from typing import Callable
 
-from . import degen, projgor, sweep
+from . import VARIANTS, degen
 from .cosets import quotient
 from .rootsys import DynkinError, RootSystem, WeylOrderCapError, build_root_system
 from .weyl import generate
-from .wonderful import orbit_lattice
+
+# json, tempfile, projgor, sweep and wonderful are imported by the code paths
+# that use them: each call runs in a fresh process, and most verbs need none.
 
 VERBS = ("roots", "weyl", "cosets", "orbits", "degen", "flagdegen", "pn", "gorenstein", "sweep")
 
@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if need_j:
             p.add_argument("--J", required=True, help='stratum subset, e.g. "1" ("" = empty)')
         if variant:
-            p.add_argument("--variant", choices=projgor.VARIANTS, default="paper")
+            p.add_argument("--variant", choices=VARIANTS, default="paper")
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
@@ -174,6 +174,8 @@ def _cmd_cosets(ns) -> Rendered:
 
 
 def _cmd_orbits(ns) -> Rendered:
+    from .wonderful import orbit_lattice
+
     rs = build_root_system(ns.type)
     lattice = orbit_lattice(rs)
     payload = {
@@ -270,6 +272,8 @@ def _cmd_flagdegen(ns) -> Rendered:
 
 
 def _cmd_pn(ns) -> Rendered:
+    from . import projgor
+
     rs = build_root_system(ns.type)
     n = _require_type_a(rs, "pn")
     J = _parse_subset(rs, ns.J, "J")
@@ -309,6 +313,8 @@ def _cmd_pn(ns) -> Rendered:
 
 
 def _cmd_gorenstein(ns) -> Rendered:
+    from . import projgor
+
     rs = build_root_system(ns.type)
     n = _require_type_a(rs, "gorenstein")
     h = projgor.diag_hilbert_poly(n)
@@ -332,7 +338,9 @@ def _cmd_gorenstein(ns) -> Rendered:
 
 
 def _cmd_sweep(ns) -> Rendered:
-    report = sweep.run_sweep(ns.type)
+    from .sweep import run_sweep
+
+    report = run_sweep(ns.type)
     return {"verb": "sweep"} | report.to_json_obj(), report.format_text
 
 
@@ -351,6 +359,8 @@ _DISPATCH = {
 
 def _write_file(path: str, text: str) -> None:
     """Write text to path through a temp file and a rename, never partially."""
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".diagdegen-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -382,9 +392,12 @@ def run(argv: list[str] | None = None) -> int:
     except (RuntimeError, AssertionError) as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 4
-    rendered = (
-        json.dumps(payload, indent=2, sort_keys=True) + "\n" if ns.json else text()
-    )
+    if ns.json:
+        import json
+
+        rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        rendered = text()
     if ns.out:
         try:
             _write_file(ns.out, rendered)

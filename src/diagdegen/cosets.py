@@ -18,16 +18,14 @@ cache it once per group and ``I``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .rootsys import RootSystem
 from .weyl import WeylGroup
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(NamedTuple):
     """W^I listed by a walk: entry k describes the k-th representative w_k.
 
     Entries are sorted as the ids of :func:`diagdegen.weyl.generate` sort
@@ -169,8 +167,7 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
                     tuple(left), tuple(cell_roots))
 
 
-@dataclass
-class QuotientData:
+class QuotientData(NamedTuple):
     """The quotient W/W_I in the ids of an enumerated group, with its walk."""
 
     group: WeylGroup

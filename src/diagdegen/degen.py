@@ -20,9 +20,8 @@ gives back the diagonal as a single component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cosets import Quotient, double_min_reps, min_reps
 from .rootsys import RootSystem
@@ -41,8 +40,7 @@ def _require_faithful(rs: RootSystem, I: frozenset[int]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FiberComponent:
+class FiberComponent(NamedTuple):
     """One component Z_w, with its dimension split (levi + xminus + x).
 
     ``w`` and ``left_index`` are entries of the walk of W^I when built by

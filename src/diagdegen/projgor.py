@@ -20,16 +20,14 @@ for odd n.  Polynomial arithmetic is exact over Fraction coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-VARIANTS = ("paper", "signed")
+from . import VARIANTS
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(NamedTuple):
     """A univariate polynomial with exact rational coefficients, ascending."""
 
     coeffs: tuple[Fraction, ...]
@@ -84,24 +82,27 @@ class RationalPolynomial:
         return [[c.numerator, c.denominator] for c in self.coeffs]
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Block sizes (dim V_0, ..., dim V_r) of k^{n+1} cut by Delta - J."""
-
+class _CompositionFields(NamedTuple):
     n: int
     blocks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if sum(self.blocks) != self.n + 1 or any(b < 1 for b in self.blocks):
-            raise ValueError(f"blocks {self.blocks} do not partition n+1 = {self.n + 1}")
+
+class Composition(_CompositionFields):
+    """Block sizes (dim V_0, ..., dim V_r) of k^{n+1} cut by Delta - J."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, blocks: tuple[int, ...]) -> "Composition":
+        if sum(blocks) != n + 1 or any(b < 1 for b in blocks):
+            raise ValueError(f"blocks {blocks} do not partition n+1 = {n + 1}")
+        return super().__new__(cls, n, blocks)
 
     @property
     def r(self) -> int:
         return len(self.blocks) - 1
 
 
-@dataclass(frozen=True)
-class PnComponent:
+class PnComponent(NamedTuple):
     """One component Z_i of a degeneration of the diagonal of P^n.
 
     ``w_value`` is the image of 1 under the Weyl representative indexing

@@ -16,8 +16,8 @@ root against the j-th simple coroot, so the simple reflection acts by
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Iterable, Iterator, NamedTuple
 
 Coords = tuple[int, ...]
 
@@ -72,15 +72,19 @@ def _degrees(family: str, rank: int) -> Iterator[int]:
         yield from (2, 6)
 
 
-@dataclass(frozen=True)
-class DynkinType:
-    """An ordered product of irreducible Dynkin components, e.g. B2xA1."""
-
+class _DynkinFields(NamedTuple):
     components: tuple[tuple[str, int], ...]
 
-    def __post_init__(self) -> None:
-        for family, rank in self.components:
+
+class DynkinType(_DynkinFields):
+    """An ordered product of irreducible Dynkin components, e.g. B2xA1."""
+
+    __slots__ = ()
+
+    def __new__(cls, components: tuple[tuple[str, int], ...]) -> "DynkinType":
+        for family, rank in components:
             _check_component(family, rank)
+        return super().__new__(cls, components)
 
     @property
     def rank(self) -> int:
@@ -102,6 +106,15 @@ class DynkinType:
 
     def __str__(self) -> str:
         return "x".join(f"{family}{rank}" for family, rank in self.components)
+
+
+def all_subsets(rank: int) -> list[frozenset[int]]:
+    """Every subset of the simple roots 1..rank, by size, then lexicographically."""
+    return [
+        frozenset(c)
+        for size in range(rank + 1)
+        for c in combinations(range(1, rank + 1), size)
+    ]
 
 
 def parse_dynkin(text: str) -> DynkinType:

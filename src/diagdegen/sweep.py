@@ -2,37 +2,38 @@
 
 For each check the sweep records the number of cases examined and every
 counterexample payload; a clean run is the package's end-to-end evidence
-that the component catalogue matches the closed-form expectations.
+that the component catalogue matches the closed-form expectations.  Each
+payload carries a ``repro`` field: the ``diagdegen`` command (``degen``
+for checks over a stratum J, ``cosets`` for checks over I alone) that
+prints the data the failing check read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-
 from . import degen, oracles
 from .cosets import min_reps
-from .rootsys import DynkinType, build_root_system, parse_dynkin
+from .rootsys import DynkinType, all_subsets, build_root_system, parse_dynkin
 from .weyl import generate
 
 
-@dataclass
 class CheckResult:
-    name: str
-    cases: int = 0
-    failures: list[dict] = field(default_factory=list)
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.cases = 0
+        self.failures: list[dict] = []
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass
 class SweepReport:
-    type_str: str
-    faithful_subsets: int
-    strata: int
-    checks: list[CheckResult]
+    def __init__(self, type_str: str, faithful_subsets: int, strata: int,
+                 checks: list[CheckResult]) -> None:
+        self.type_str = type_str
+        self.faithful_subsets = faithful_subsets
+        self.strata = strata
+        self.checks = checks
 
     @property
     def ok(self) -> bool:
@@ -67,12 +68,14 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _subsets(rank: int) -> list[frozenset[int]]:
-    out = []
-    for size in range(rank + 1):
-        for J in combinations(range(1, rank + 1), size):
-            out.append(frozenset(J))
-    return out
+def _repro(type_str: str, failure: dict) -> str:
+    """The diagdegen command that prints what a failed check read: its catalogue or quotient."""
+    def arg(S: list[int]) -> str:
+        return ",".join(map(str, S)) or '""'
+
+    if "J" not in failure:
+        return f"diagdegen cosets {type_str} --I {arg(failure['I'])}"
+    return f"diagdegen degen {type_str} --I {arg(failure['I'])} --J {arg(failure['J'])}"
 
 
 def run_sweep(type_str: str | DynkinType) -> SweepReport:
@@ -81,8 +84,8 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
     rs = build_root_system(dynkin)
     g = generate(rs)
     delta = rs.delta()
-    all_subsets = _subsets(rs.rank)
-    faithful = [I for I in all_subsets if rs.is_faithful(I)]
+    subsets = all_subsets(rs.rank)
+    faithful = [I for I in subsets if rs.is_faithful(I)]
 
     equidim = CheckResult("equidimensionality")
     counts = CheckResult("component counts")
@@ -96,7 +99,7 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
         payload_i = sorted(I)
 
         counts_by_j: dict[frozenset[int], int] = {}
-        for J in all_subsets:
+        for J in subsets:
             comps = degen.fiber_components(g, I, J)
             if not J:
                 closed_comps = comps
@@ -123,7 +126,7 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
                 counts.failures.append(payload | {"count": n, "expected_unique_iff": "J=Delta"})
 
         # antitonicity along single-element extensions of J
-        for J in all_subsets:
+        for J in subsets:
             for j in delta - J:
                 counts.cases += 1
                 if counts_by_j[J] < counts_by_j[J | {j}]:
@@ -161,9 +164,8 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
         if covered != neg_delta:
             weights.failures.append({"I": payload_i, "issue": "negative simple roots not covered"})
 
-    return SweepReport(
-        type_str=str(dynkin),
-        faithful_subsets=len(faithful),
-        strata=len(all_subsets),
-        checks=[equidim, counts, closed, fixed, weights],
-    )
+    checks = [equidim, counts, closed, fixed, weights]
+    for check in checks:
+        for failure in check.failures:
+            failure["repro"] = _repro(str(dynkin), failure)
+    return SweepReport(str(dynkin), len(faithful), len(subsets), checks)

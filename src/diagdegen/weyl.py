@@ -26,23 +26,12 @@ walk W^I with :func:`diagdegen.cosets.quotient` and never call
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .rootsys import RootSystem
 
 #: Precompute the dense Bruhat matrix only for groups up to this order.
 MATRIX_CAP = 10_000
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """One group element: a root permutation with cached length and word."""
-
-    id: int
-    perm: tuple[int, ...]
-    length: int
-    word: tuple[int, ...]
 
 
 class WeylGroup:
@@ -69,9 +58,6 @@ class WeylGroup:
     @property
     def order(self) -> int:
         return len(self.perms)
-
-    def element(self, w: int) -> WeylElement:
-        return WeylElement(w, self.perms[w], self.lengths[w], self.words[w])
 
     def simple(self, i: int) -> int:
         """Id of the i-th simple reflection (i is 1-based)."""

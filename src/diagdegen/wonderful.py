@@ -11,15 +11,12 @@ diag(L_J) and two copies of the center of L_J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .rootsys import DynkinType, RootSystem
+from .rootsys import DynkinType, RootSystem, all_subsets
 
 
-@dataclass(frozen=True)
-class OrbitDescriptor:
+class OrbitDescriptor(NamedTuple):
     """One boundary orbit O_J with its parabolic, Levi and dimension data."""
 
     J: frozenset[int]
@@ -55,8 +52,4 @@ def orbit(rs: RootSystem, J: Iterable[int]) -> OrbitDescriptor:
 
 def orbit_lattice(rs: RootSystem) -> list[OrbitDescriptor]:
     """All 2^rank orbits, ordered by |J| and then lexicographic J."""
-    out = []
-    for size in range(rs.rank + 1):
-        for J in combinations(range(1, rs.rank + 1), size):
-            out.append(orbit(rs, J))
-    return out
+    return [orbit(rs, J) for J in all_subsets(rs.rank)]

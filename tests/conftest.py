@@ -1,24 +1,15 @@
 """Shared fixtures: a session-wide group cache and the desk-scale type lists."""
 
-from itertools import combinations
-
 import pytest
 
 from diagdegen import build_root_system, generate
+from diagdegen.rootsys import all_subsets
 
 # Types swept exhaustively over every faithful I and every J.
 SWEEP_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"]
 
 # Types for the Bruhat differential test; all have |W| <= 1152.
 BRUHAT_TYPES = SWEEP_TYPES + ["B4", "A5", "A2xA1", "F4"]
-
-
-def all_subsets(rank):
-    return [
-        frozenset(c)
-        for k in range(rank + 1)
-        for c in combinations(range(1, rank + 1), k)
-    ]
 
 
 def faithful_subsets(rs):

@@ -1,14 +1,19 @@
 """CLI behavior: exit codes, determinism, schema-valid JSON."""
 
+import contextlib
 import importlib.resources
+import io
 import json
 import os
+import shlex
 import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diagdegen import cli
+from diagdegen import cli, degen, oracles
 from diagdegen.cli import run
 
 
@@ -196,3 +201,57 @@ def test_internal_failure_exits_4(monkeypatch, capsys, exc):
 
 def test_help_exits_0(capsys):
     assert run_capture(capsys, ["--help"])[0] == 0
+
+
+def test_sweep_failures_carry_repro_commands(monkeypatch, capsys, schema):
+    def wrong_count(g, J, I):
+        return real_count(g, J, I) + [frozenset()]
+
+    real_count = oracles.double_cosets
+    monkeypatch.setattr(oracles, "double_cosets", wrong_count)
+    monkeypatch.setattr(degen, "fixed_point_profile", lambda g, I, w: set())
+    code, out, _ = run_capture(capsys, ["sweep", "A2", "--json"])
+    assert code == 1
+    jsonschema.validate(json.loads(out), schema)
+    failures = [f for c in json.loads(out)["checks"] for f in c["failures"]]
+    assert {"J" in f for f in failures} == {True, False}
+    for f in failures:
+        argv = shlex.split(f["repro"])
+        assert argv[:3] == ["diagdegen", "degen" if "J" in f else "cosets", "A2"]
+        assert argv[argv.index("--I") + 1] == ",".join(map(str, f["I"]))
+        if "J" in f:
+            assert argv[argv.index("--J") + 1] == ",".join(map(str, f["J"]))
+        assert run_capture(capsys, argv[1:])[0] == 0
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_FUZZ_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "A1xA1", "A2xA1", "B2xA1",
+               "A1xA1xA1", "", "Q3", "A0", "A" + "1" * 25, "D3", "E5", "B2x", "a2", " A2"]
+_SUBSET_TEXT = st.text(alphabet="0123456789,- ", max_size=6)
+_OPTION = st.one_of(
+    st.tuples(st.just("--I"), _SUBSET_TEXT),
+    st.tuples(st.just("--J"), _SUBSET_TEXT),
+    st.tuples(st.just("--variant"), st.sampled_from(["paper", "signed", "odd"])),
+    st.just(("--json",)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    verb=st.sampled_from(cli.VERBS + ("", "nonsense", "Degen", "-h")),
+    type_str=st.one_of(st.none(), st.sampled_from(_FUZZ_TYPES)),
+    options=st.lists(_OPTION, max_size=4),
+)
+def test_any_argv_exits_cleanly_and_deterministically(verb, type_str, options):
+    argv = [verb] + ([] if type_str is None else [type_str])
+    argv += [token for option in options for token in option]
+    first = _run_quiet(argv)
+    assert first[0] in (0, 1, 2, 3, 4)
+    assert "Traceback" not in first[1] + first[2]
+    assert _run_quiet(argv) == first

@@ -63,15 +63,6 @@ def test_group_laws(type_str, groups):
         assert g.lengths[g.inverse(w)] == g.lengths[w]
 
 
-def test_element_accessor(groups):
-    g = groups("A2")
-    e = g.element(g.longest_id)
-    assert e.id == g.longest_id
-    assert e.length == 3
-    assert e.word == (1, 2, 1)
-    assert e.perm == g.perms[g.longest_id]
-
-
 def test_act_example(groups):
     g = groups("A2")
     rs = g.rs
