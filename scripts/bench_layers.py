@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Time the layers of the full-flag catalogue in process and record them.
+
+For the full flag (I empty) of each type below, and for the call
+``flagdegen T --J 1``, this times the median of REPEATS runs of each layer:
+
+* ``quotient``: ``cosets.quotient(rs, ())``, the walk of W;
+* ``components``: ``degen.components(rs, q, {1})`` on that walk;
+* ``json``: ``cli.run`` of the call with ``--json``, its handler's result
+  computed beforehand, so it times argument parsing (about a millisecond)
+  and rendering; output goes to a sink that discards it;
+* ``text``: the same without ``--json``.
+
+It imports ``diagdegen`` from the ``src`` of the checkout it sits in, and
+writes ``BENCH_<label>.json`` at that checkout's root, with the Python
+version, the git commit, the host and the figures in seconds.  To measure
+another commit, copy this script into a checkout of it and run it there.
+
+Usage:
+    python scripts/bench_layers.py --label NAME
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from diagdegen import cli, degen  # noqa: E402
+from diagdegen.cosets import quotient  # noqa: E402
+from diagdegen.rootsys import build_root_system  # noqa: E402
+
+TYPES = ["A5", "A6", "B4", "B5", "D5", "F4", "E6"]
+REPEATS = 5
+
+
+class _Sink:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def _median_time(fn) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def _render_time(argv: list[str]) -> float:
+    """Median time of cli.run(argv) with its handler's result computed beforehand."""
+    ns = cli._build_parser().parse_args(argv)
+    result = cli._DISPATCH[ns.verb](ns)
+    saved = cli._DISPATCH[ns.verb]
+    cli._DISPATCH[ns.verb] = lambda ns: result
+    try:
+        with redirect_stdout(_Sink()):
+            return _median_time(lambda: cli.run(argv))
+    finally:
+        cli._DISPATCH[ns.verb] = saved
+
+
+def measure(type_str: str) -> dict:
+    rs = build_root_system(type_str)
+    q = quotient(rs, ())
+    argv = ["flagdegen", type_str, "--J", "1"]
+    return {
+        "reps": len(q.lengths),
+        "quotient": _median_time(lambda: quotient(rs, ())),
+        "components": _median_time(lambda: degen.components(rs, q, {1})),
+        "json": _render_time(argv + ["--json"]),
+        "text": _render_time(argv),
+    }
+
+
+def _cpu() -> str | None:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
+def _git(*args: str) -> str | None:
+    try:
+        done = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                              text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    args = parser.parse_args()
+
+    layers = {}
+    for type_str in TYPES:
+        layers[type_str] = row = measure(type_str)
+        print(f"{type_str:<4} |W| {row['reps']:>6}  " + "  ".join(
+            f"{k} {row[k]:.4f}s" for k in ("quotient", "components", "json", "text")),
+            flush=True)
+    status = _git("status", "--porcelain", "--", "src")
+    record = {
+        "label": args.label,
+        "python": platform.python_version(),
+        "commit": _git("rev-parse", "HEAD"),
+        "src_modified": None if status is None else bool(status),
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "cpu": _cpu()},
+        "repeats": REPEATS,
+        "statistic": "median",
+        "unit": "s",
+        "call": "flagdegen T --J 1 (full flag, I empty)",
+        "layers": layers,
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,7 +22,7 @@ _EXPORTS = {
     "cosets": ("Quotient", "QuotientData", "double_max_rep", "double_min_reps", "min_reps",
                "quotient"),
     "degen": ("FiberComponent", "UnfaithfulActionError", "closed_fiber", "component_count",
-              "fiber_components", "fixed_point_profile", "full_flag_fiber", "weight_set"),
+              "fiber_components", "fixed_point_profile", "weight_set"),
     "projgor": ("Composition", "PnComponent", "RationalPolynomial", "composition_from_J",
                 "diag_hilbert_poly", "gorenstein_obstruction", "pairwise_intersection_dim",
                 "pn_components"),

@@ -20,8 +20,8 @@ from .cosets import quotient
 from .rootsys import DynkinError, RootSystem, WeylOrderCapError, build_root_system
 from .weyl import generate
 
-# json, tempfile, projgor, sweep and wonderful are imported by the code paths
-# that use them: each call runs in a fresh process, and most verbs need none.
+# json.encoder, tempfile, projgor, sweep and wonderful are imported by the code
+# paths that use them: each call runs in a fresh process, and most verbs need none.
 
 VERBS = ("roots", "weyl", "cosets", "orbits", "degen", "flagdegen", "pn", "gorenstein", "sweep")
 
@@ -357,6 +357,50 @@ _DISPATCH = {
 }
 
 
+def _render_json(payload: dict) -> str:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)``, rendered directly.
+
+    With ``indent`` set, ``json.dumps`` takes CPython's pure-Python encoder.
+    This renders the value types the payloads use (dicts with str keys,
+    lists, int, str, bool and None) to the same text, lists of ints (the
+    words and dims that make up most of the output) in one join; any other
+    type raises TypeError.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    ints = {int}
+
+    def render(value, nl: str) -> str:
+        kind = type(value)
+        if kind is list:
+            if not value:
+                return "[]"
+            inner = nl + "  "
+            if set(map(type, value)) == ints:
+                body = ("," + inner).join(map(str, value))
+            else:
+                body = ("," + inner).join([render(v, inner) for v in value])
+            return "[" + inner + body + nl + "]"
+        if kind is dict:
+            if not value:
+                return "{}"
+            inner = nl + "  "
+            items = [quote(k) + ": " + (str(v) if type(v) is int else render(v, inner))
+                     for k, v in sorted(value.items())]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        if kind is int:
+            return str(value)
+        if kind is str:
+            return quote(value)
+        if kind is bool:
+            return "true" if value else "false"
+        if value is None:
+            return "null"
+        raise TypeError(f"cannot render {kind.__name__} as JSON")
+
+    return render(payload, "\n")
+
+
 def _write_file(path: str, text: str) -> None:
     """Write text to path through a temp file and a rename, never partially."""
     import tempfile
@@ -393,9 +437,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 4
     if ns.json:
-        import json
-
-        rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        rendered = _render_json(payload) + "\n"
     else:
         rendered = text()
     if ns.out:

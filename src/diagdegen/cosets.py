@@ -18,10 +18,11 @@ cache it once per group and ``I``.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .rootsys import RootSystem
+from .rootsys import RootSystem, WeylOrderCapError
 from .weyl import WeylGroup
 
 
@@ -75,24 +76,39 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
     word of w starts with its smallest left descent, so visiting each layer
     letter by letter and then in order assigns entries in id order.
 
+    A permutation is a byte string, byte r holding w(r): s_a w is one
+    ``bytes.translate`` through the table of s_a, so root systems with more
+    than 256 roots are refused before anything is allocated.
+
     Self-checks: |W^I| = |W| / |W_I| by the degree formula, and every cell
     satisfies dim C_w = length(w) and dim C_w + dim C-_w = dim G/P_I.
     """
+    n = rs.n_roots
+    if n > 256:
+        raise WeylOrderCapError(
+            f"{rs.dynkin}: {n} roots exceed the quotient walk's limit of 256"
+        )
     I = rs.simple_subset(I)
-    n, n_pos, rank = rs.n_roots, rs.n_positive, rs.rank
+    n_pos, rank = rs.n_positive, rs.rank
     simple = [rs.simple_index(a) for a in range(1, rank + 1)]
-    refl = [tuple(rs.reflect(a, r) for r in range(n)) for a in range(1, rank + 1)]
+    refl = [bytes(rs.reflect(a, r) for r in range(n)) for a in range(1, rank + 1)]
+    pad = bytes(range(n, 256))
+    lmul = [sa + pad for sa in refl]  # translate tables: p.translate(lmul[a]) = s_a p
+    rmul = [itemgetter(*sa) for sa in refl]  # bytes(rmul[d](p)) = p s_d
     phi_i = rs.sub_system(I)
     off_neg = [b for b in range(n_pos, n) if b not in phi_i]
     dim_x = len(off_neg)
+    # itemgetter returns a scalar for one index and needs at least one.
+    take = itemgetter(*off_neg) if dim_x > 1 else lambda p: [p[b] for b in off_neg]
+    bit = [1 << r for r in range(n)]
     pos_mask = (1 << n_pos) - 1
     i_roots = [simple[i - 1] for i in sorted(I)]
 
-    identity = tuple(range(n))
+    identity = bytes(range(n))
     index = {identity: 0}  # root permutation of w_k -> k, over all of W^I
-    off: dict[tuple[int, ...], tuple[int, ...]] = {}  # words of prefixes off W^I
+    off: dict[bytes, tuple[int, ...]] = {}  # words of prefixes off W^I
 
-    def word_of(p: tuple[int, ...]) -> tuple[int, ...]:
+    def word_of(p: bytes) -> tuple[int, ...]:
         # Strip the smallest right descent (w(alpha_d) < 0) until a known word.
         chain = []
         while True:
@@ -105,7 +121,7 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
                 break
             d = next(d for d in range(rank) if p[simple[d]] >= n_pos)
             chain.append((p, d + 1))
-            p = tuple(map(p.__getitem__, refl[d]))
+            p = bytes(rmul[d](p))
         for p, d in reversed(chain):
             out = out + (d,)
             off[p] = out
@@ -123,8 +139,8 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
         length = lengths[base]
         for k, p in enumerate(layer, base):
             mask = 0
-            for b in off_neg:
-                mask |= 1 << p[b]
+            for r in take(p):
+                mask |= bit[r]
             plus = (mask & pos_mask).bit_count()
             minus = (mask >> n_pos).bit_count()
             if plus != length or plus + minus != dim_x:
@@ -134,14 +150,14 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
         fixed = [{p[r] for r in i_roots} for p in layer]
         nxt = []
         for a in range(rank):
-            root, sa = simple[a], refl[a]
+            root, table = simple[a], lmul[a]
             for k, p in enumerate(layer, base):
                 if (cell_roots[k] >> root) & 1:
                     continue  # a left descent, filled in from below
                 if root in fixed[k - base]:
                     rows[k][a] = k  # s_a w = w s_i stays in the coset
                     continue
-                v = tuple(map(sa.__getitem__, p))
+                v = p.translate(table)
                 j = index.get(v)
                 if j is None:
                     j = index[v] = len(lengths)
@@ -154,7 +170,7 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
             left.append(tuple(rows.pop(k)))
         for p in nxt:
             d = next(d for d in range(rank) if p[simple[d]] >= n_pos)
-            words.append(word_of(tuple(map(p.__getitem__, refl[d]))) + (d + 1,))
+            words.append(word_of(bytes(rmul[d](p))) + (d + 1,))
         layer = nxt
 
     expected = rs.dynkin.weyl_order() // rs.subdiagram_type(I).weyl_order()

@@ -205,7 +205,3 @@ def weight_set(g: WeylGroup, I: Iterable[int], w: int) -> frozenset[int]:
         raise AssertionError(f"weight set expressions disagree for w={w}, I={sorted(I)}")
     return first
 
-
-def full_flag_fiber(g: WeylGroup, J: Iterable[int]) -> list[FiberComponent]:
-    """Degeneration components for the full flag variety (I empty)."""
-    return fiber_components(g, frozenset(), J)

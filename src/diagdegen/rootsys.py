@@ -36,7 +36,11 @@ class DynkinError(ValueError):
 
 
 class WeylOrderCapError(ValueError):
-    """Raised when a requested type exceeds the Weyl group order cap."""
+    """Raised when a requested type exceeds a size cap.
+
+    The caps are the Weyl group order (``WEYL_ORDER_CAP``) and the 256 roots
+    whose images the quotient walk stores as bytes.
+    """
 
 
 def _check_component(family: str, rank: int) -> None:
@@ -202,7 +206,7 @@ class RootSystem:
             self.index[tuple(1 if j == i else 0 for j in range(self.rank))]
             for i in range(self.rank)
         )
-        self._components = self._diagram_components()
+        self._components = tuple(self._induced_components(range(1, self.rank + 1)))
         self._sub_systems: dict[frozenset[int], frozenset[int]] = {}
 
     # -- basic queries ---------------------------------------------------
@@ -280,23 +284,25 @@ class RootSystem:
 
     # -- Dynkin diagram structure -----------------------------------------
 
-    def _diagram_components(self) -> tuple[frozenset[int], ...]:
+    def _induced_components(self, nodes: Iterable[int]) -> list[frozenset[int]]:
+        """Connected components of the diagram induced on nodes, by smallest node."""
+        nodes = sorted(nodes)
         seen: set[int] = set()
         comps = []
-        for start in range(1, self.rank + 1):
+        for start in nodes:
             if start in seen:
                 continue
             comp = {start}
             stack = [start]
             while stack:
                 a = stack.pop()
-                for b in range(1, self.rank + 1):
+                for b in nodes:
                     if b not in comp and self.cartan[a - 1][b - 1] != 0 and a != b:
                         comp.add(b)
                         stack.append(b)
             seen |= comp
             comps.append(frozenset(comp))
-        return tuple(comps)
+        return comps
 
     def diagram_components(self) -> tuple[frozenset[int], ...]:
         """Connected components of the Dynkin diagram (1-based node sets)."""
@@ -314,23 +320,8 @@ class RootSystem:
     def subdiagram_type(self, J: Iterable[int]) -> DynkinType:
         """Dynkin type of the diagram induced on the node subset J."""
         J = self.simple_subset(J)
-        nodes = sorted(J)
-        seen: set[int] = set()
-        parts = []
-        for start in nodes:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                a = stack.pop()
-                for b in nodes:
-                    if b not in comp and self.cartan[a - 1][b - 1] != 0 and a != b:
-                        comp.add(b)
-                        stack.append(b)
-            seen |= comp
-            parts.append(self._classify_component(sorted(comp)))
-        return DynkinType(tuple(parts))
+        return DynkinType(tuple(self._classify_component(sorted(comp))
+                                for comp in self._induced_components(J)))
 
     def _classify_component(self, nodes: list[int]) -> tuple[str, int]:
         k = len(nodes)

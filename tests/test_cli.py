@@ -126,6 +126,22 @@ def test_catalogue_verbs_never_enumerate_w(monkeypatch, capsys, argv):
     assert out
 
 
+def test_quotient_walk_refuses_more_than_256_roots(monkeypatch, capsys):
+    # A22 has 506 roots; raise the order cap so the root count is what refuses it.
+    monkeypatch.setattr("diagdegen.rootsys.WEYL_ORDER_CAP", 10**30)
+    code, out, err = run_capture(capsys, ["cosets", "A22", "--I", ""])
+    assert code == 3
+    assert out == ""
+    assert err == "error: A22: 506 roots exceed the quotient walk's limit of 256\n"
+
+
+def test_quotient_walk_admits_e8(monkeypatch, capsys):
+    monkeypatch.setattr("diagdegen.rootsys.WEYL_ORDER_CAP", 10**9)
+    code, out, err = run_capture(capsys, ["cosets", "E8", "--I", "1,2,3,4,5,6,7", "--json"])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["reps"]) == 240
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_capture(capsys, ["degen", "Q7", "--I", "1", "--J", "1"])[0] == 2
     assert run_capture(capsys, ["degen", "H3", "--I", "1", "--J", "1"])[0] == 2
@@ -203,13 +219,18 @@ def test_help_exits_0(capsys):
     assert run_capture(capsys, ["--help"])[0] == 0
 
 
-def test_sweep_failures_carry_repro_commands(monkeypatch, capsys, schema):
+def _break_sweep_oracles(monkeypatch):
+    """Make the count oracle and the fixed-point check disagree with the catalogue."""
     def wrong_count(g, J, I):
         return real_count(g, J, I) + [frozenset()]
 
     real_count = oracles.double_cosets
     monkeypatch.setattr(oracles, "double_cosets", wrong_count)
     monkeypatch.setattr(degen, "fixed_point_profile", lambda g, I, w: set())
+
+
+def test_sweep_failures_carry_repro_commands(monkeypatch, capsys, schema):
+    _break_sweep_oracles(monkeypatch)
     code, out, _ = run_capture(capsys, ["sweep", "A2", "--json"])
     assert code == 1
     jsonschema.validate(json.loads(out), schema)
@@ -255,3 +276,67 @@ def test_any_argv_exits_cleanly_and_deterministically(verb, type_str, options):
     assert first[0] in (0, 1, 2, 3, 4)
     assert "Traceback" not in first[1] + first[2]
     assert _run_quiet(argv) == first
+
+
+# -- the --json renderer ------------------------------------------------------
+#
+# cli._render_json must produce the text of json.dumps(indent=2, sort_keys=True).
+
+def _payload(argv):
+    ns = cli._build_parser().parse_args(argv)
+    return cli._DISPATCH[ns.verb](ns)[0]
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+RENDER_COMMANDS = JSON_COMMANDS + [
+    ["roots", "A1"], ["roots", "G2xA1"], ["weyl", "A3"], ["weyl", "B2xA1"],
+    ["cosets", "B3", "--I", ""], ["cosets", "D4", "--I", "1,3,4"], ["cosets", "F4", "--I", "2"],
+    ["orbits", "A3"], ["orbits", "G2"],
+    ["degen", "C3", "--I", "1", "--J", "2,3"], ["degen", "A1xA1", "--I", "", "--J", "1"],
+    ["flagdegen", "A1", "--J", ""], ["flagdegen", "B3", "--J", "1"], ["flagdegen", "G2", "--J", "1,2"],
+    ["pn", "A1", "--J", ""], ["pn", "A4", "--J", "1,3"],
+    ["gorenstein", "A3"], ["gorenstein", "A2", "--variant", "signed"],
+    ["sweep", "B2"], ["sweep", "A1xA1"],
+]
+
+
+@pytest.mark.parametrize("argv", RENDER_COMMANDS, ids=lambda a: " ".join(a))
+def test_render_json_equals_json_dumps(argv):
+    payload = _payload(argv)
+    assert cli._render_json(payload) == _dumps(payload)
+
+
+def test_render_json_equals_json_dumps_on_failing_sweep(monkeypatch):
+    def broken_weight_set(g, I, w):
+        raise AssertionError('weight sets "disagree" \u2014 at\tw')
+
+    _break_sweep_oracles(monkeypatch)
+    monkeypatch.setattr(degen, "weight_set", broken_weight_set)
+    payload = _payload(["sweep", "A2"])
+    failures = [f for c in payload["checks"] for f in c["failures"]]
+    assert all("repro" in f for f in failures)
+    assert any("error" in f for f in failures) and any("J" in f for f in failures)
+    assert cli._render_json(payload) == _dumps(payload)
+
+
+_JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\n\t\x00\x1f\x7fé€😀')))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80) | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=_JSON_VALUES)
+def test_render_json_equals_json_dumps_on_any_value(value):
+    assert cli._render_json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [1.5, {"x": [1, 2.0]}, (1, 2), {1: 2}])
+def test_render_json_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._render_json(value)

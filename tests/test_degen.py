@@ -10,7 +10,6 @@ from diagdegen import (
     component_count,
     fiber_components,
     fixed_point_profile,
-    full_flag_fiber,
     generate,
     min_reps,
     weight_set,
@@ -147,10 +146,10 @@ def test_weight_set_size_is_dim_x(type_str, groups):
 
 def test_full_flag_fiber_examples(groups):
     g1 = groups("A1")
-    assert len(full_flag_fiber(g1, ())) == 2
+    assert len(fiber_components(g1, (), ())) == 2
     g = groups("A2")
-    assert len(full_flag_fiber(g, {1, 2})) == 1
-    comps = full_flag_fiber(g, {1})
+    assert len(fiber_components(g, (), {1, 2})) == 1
+    comps = fiber_components(g, (), {1})
     assert len(comps) == 3
     assert all(c.total_dim == 3 for c in comps)
 
@@ -161,7 +160,7 @@ def test_full_flag_levi_dims(type_str, groups):
     g = groups(type_str)
     for J in all_subsets(g.rs.rank):
         half = len(g.rs.sub_system(J)) // 2
-        for c in full_flag_fiber(g, J):
+        for c in fiber_components(g, (), J):
             assert c.levi_quotient_dim == half
 
 
