@@ -3,7 +3,10 @@
 
 Every check compares the component catalogue against brute-force oracles
 (double-coset enumeration, closed-fiber formula, fixed points, weight
-sets); a clean run prints PASS per type and exits 0.
+sets); a clean run prints PASS per type and exits 0.  A type the sweep
+refuses (its Weyl group is over the sweep's order cap) or cannot parse
+ends the run with one ``error:`` line on stderr and exit 3 or 2, as in
+``diagdegen sweep``.
 
 Usage:
     python scripts/run_sweep.py
@@ -15,6 +18,7 @@ import json
 import sys
 import time
 
+from diagdegen.rootsys import DynkinError, WeylOrderCapError
 from diagdegen.sweep import run_sweep
 
 DEFAULT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A2xA1", "B4", "A5", "F4"]
@@ -30,7 +34,11 @@ def main() -> int:
     failures = 0
     for type_str in args.types.split(","):
         start = time.perf_counter()
-        report = run_sweep(type_str.strip())
+        try:
+            report = run_sweep(type_str.strip())
+        except (DynkinError, WeylOrderCapError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2 if isinstance(exc, DynkinError) else 3
         elapsed = time.perf_counter() - start
         if args.json:
             print(json.dumps(report.to_json_obj(), sort_keys=True))

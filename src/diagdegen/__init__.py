@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 VARIANTS = ("paper", "signed")
 
 _EXPORTS = {
-    "cosets": ("Quotient", "QuotientData", "double_max_rep", "double_min_reps", "min_reps",
-               "quotient"),
+    "cosets": ("Quotient", "QuotientData", "double_min_reps", "min_reps", "quotient"),
     "degen": ("FiberComponent", "UnfaithfulActionError", "closed_fiber", "component_count",
               "fiber_components", "fixed_point_profile", "weight_set"),
     "projgor": ("Composition", "PnComponent", "RationalPolynomial", "composition_from_J",

@@ -4,7 +4,8 @@ Grammar: ``diagdegen <verb> <TYPE> [--I a,b,...] [--J a,b,...] [--json]
 [--variant paper|signed] [--out PATH]``.  Subsets are comma-separated
 1-based simple-root indices; pass ``""`` for the empty subset.  Exit codes:
 0 success, 1 sweep failures, 2 usage errors (including an ``--out`` path
-that cannot be written), 3 domain errors (rank cap, non-faithful I),
+that cannot be written), 3 domain errors (a size cap: the Weyl group order,
+the sweep's order cap or the walk's 256 roots; a non-faithful I),
 4 internal invariant failures.  Every error is one line on stderr.
 """
 
@@ -70,10 +71,10 @@ def _parse_subset(rs: RootSystem, text: str, flag: str) -> frozenset[int]:
         indices = [int(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"--{flag}: expected comma-separated integers, got {text!r}") from None
-    for i in indices:
-        if not 1 <= i <= rs.rank:
-            raise UsageError(f"--{flag}: index {i} out of range 1..{rs.rank}")
-    return frozenset(indices)
+    try:
+        return rs.simple_subset(indices)
+    except ValueError as exc:
+        raise UsageError(f"--{flag}: {exc}") from None
 
 
 def _require_type_a(rs: RootSystem, verb: str) -> int:
@@ -81,10 +82,6 @@ def _require_type_a(rs: RootSystem, verb: str) -> int:
     if len(components) != 1 or components[0][0] != "A":
         raise UsageError(f"{verb} requires an irreducible type A_n, got {rs.dynkin}")
     return components[0][1]
-
-
-def _subset_list(S: frozenset[int]) -> list[int]:
-    return sorted(S)
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -156,7 +153,7 @@ def _cmd_cosets(ns) -> Rendered:
     payload = {
         "verb": "cosets",
         "type": str(rs.dynkin),
-        "I": _subset_list(I),
+        "I": sorted(I),
         "dim_x": q.dim_x,
         "reps": [list(word) for word in q.words],
         "dims": [list(d) for d in q.dims],
@@ -184,7 +181,7 @@ def _cmd_orbits(ns) -> Rendered:
         "dim_g": rs.n_roots + rs.rank,
         "orbits": [
             {
-                "J": _subset_list(o.J),
+                "J": sorted(o.J),
                 "orbit_dim": o.orbit_dim,
                 "stab_dim": o.stab_dim,
                 "unipotent_count": o.unipotent_count,
@@ -196,7 +193,7 @@ def _cmd_orbits(ns) -> Rendered:
 
     def text() -> str:
         rows = [
-            [str(_subset_list(o.J)), str(o.orbit_dim), str(o.stab_dim),
+            [str(sorted(o.J)), str(o.orbit_dim), str(o.stab_dim),
              str(o.levi_type) or "-"]
             for o in lattice
         ]
@@ -242,14 +239,14 @@ def _cmd_degen(ns) -> Rendered:
     payload = {
         "verb": "degen",
         "type": str(rs.dynkin),
-        "I": _subset_list(I),
-        "J": _subset_list(J),
+        "I": sorted(I),
+        "J": sorted(J),
         "dim_x": comps[0]["dims"]["total"] if comps else 0,
         "components": comps,
     }
     head = (
-        f"degeneration over J={_subset_list(J)} for {rs.dynkin}, "
-        f"I={_subset_list(I)}: {len(comps)} components\n"
+        f"degeneration over J={sorted(J)} for {rs.dynkin}, "
+        f"I={sorted(I)}: {len(comps)} components\n"
     )
     return payload, lambda: _components_text(comps, head)
 
@@ -261,11 +258,11 @@ def _cmd_flagdegen(ns) -> Rendered:
     payload = {
         "verb": "flagdegen",
         "type": str(rs.dynkin),
-        "J": _subset_list(J),
+        "J": sorted(J),
         "components": comps,
     }
     head = (
-        f"full-flag degeneration over J={_subset_list(J)} for {rs.dynkin}: "
+        f"full-flag degeneration over J={sorted(J)} for {rs.dynkin}: "
         f"{len(comps)} components\n"
     )
     return payload, lambda: _components_text(comps, head)
@@ -282,7 +279,7 @@ def _cmd_pn(ns) -> Rendered:
     payload = {
         "verb": "pn",
         "n": n,
-        "J": _subset_list(J),
+        "J": sorted(J),
         "blocks": list(comp.blocks),
         "components": [
             {
@@ -304,7 +301,7 @@ def _cmd_pn(ns) -> Rendered:
             for c in components
         ]
         return (
-            f"P^{n} with blocks {list(comp.blocks)} (J={_subset_list(J)}): "
+            f"P^{n} with blocks {list(comp.blocks)} (J={sorted(J)}): "
             f"{len(components)} components\n"
             + _table(["i", "w(1)", "x", "y", "fiber", "smooth"], rows)
         )

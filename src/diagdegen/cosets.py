@@ -262,32 +262,3 @@ def double_min_reps(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> tuple[i
     q = min_reps(g, I)
     return tuple(q.reps[k] for k in q.walk.double(g.rs.simple_subset(J)))
 
-
-def double_max_rep(g: WeylGroup, J: Iterable[int], I: Iterable[int], w: int) -> int:
-    """The longest element of the double coset W_I w W_J.
-
-    Computed by exhaustive closure of the coset; uniqueness of the maximum
-    is asserted along the way.
-    """
-    rs = g.rs
-    I = rs.simple_subset(I)
-    J = rs.simple_subset(J)
-    left = g.left_table()
-    seen = {w}
-    stack = [w]
-    while stack:
-        u = stack.pop()
-        for i in I:
-            v = left[u][i - 1]  # s_i * u
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-        for j in J:
-            v = g.gen_table[u][j - 1]  # u * s_j
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    top = max(seen, key=lambda u: (g.lengths[u], -u))
-    if sum(1 for u in seen if g.lengths[u] == g.lengths[top]) != 1:
-        raise RuntimeError("double coset has no unique longest element")
-    return top

@@ -144,31 +144,22 @@ def fixed_point_profile(g: WeylGroup, I: Iterable[int], w: int) -> set[tuple[int
     some x in W^I satisfies x <= u and v <= x.  The chain forces the result
     to be the singleton {(w, w)}; the scan verifies that on the nose.
 
-    With the Bruhat matrix, any such x satisfies x <= w <= x by transitivity,
-    so x runs over the meet of down(w), up(w) and W^I, and its pairs are
-    (up(x) meet down(w)) x (down(x) meet up(w)) within W^I.  This tests the
-    antisymmetry of the matrix rows: the meet is {w} exactly when no other
-    representative lies both below and above w.
+    Any such x satisfies x <= w <= x by transitivity, so x runs over the
+    meet of down(w), up(w) and W^I in the Bruhat matrix of g, and its pairs
+    are (up(x) meet down(w)) x (down(x) meet up(w)) within W^I.  This tests
+    the antisymmetry of the matrix rows: the meet is {w} exactly when no
+    other representative lies both below and above w.  The matrix has
+    |W|^2 bits, which is why ``sweep`` bounds |W|.
     """
     q = min_reps(g, g.rs.simple_subset(I))
     w = q.canonicalize(w)
-    rows = g.bruhat_rows()
-    if rows is not None:
-        up = g.bruhat_up_rows()
-        assert up is not None
-        down_w = rows[w] & q.rep_mask
-        up_w = up[w] & q.rep_mask
-        out = set()
-        for x in _bits(down_w & up_w):
-            out.update(product(_bits(up[x] & down_w), _bits(rows[x] & up_w)))
-        return out
-    leq = g.bruhat_leq
-    return {
-        (u, v)
-        for u in q.reps if leq(u, w)
-        for v in q.reps if leq(w, v)
-        if any(leq(x, u) and leq(v, x) for x in q.reps)
-    }
+    rows, up = g.bruhat_rows(), g.bruhat_up_rows()
+    down_w = rows[w] & q.rep_mask
+    up_w = up[w] & q.rep_mask
+    out = set()
+    for x in _bits(down_w & up_w):
+        out.update(product(_bits(up[x] & down_w), _bits(rows[x] & up_w)))
+    return out
 
 
 def _bits(mask: int) -> list[int]:

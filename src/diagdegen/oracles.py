@@ -108,6 +108,29 @@ def double_coset_min_reps(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> t
     return tuple(sorted(reps))
 
 
+def reflection_ids(g: WeylGroup) -> tuple[int, ...]:
+    """Ids of the reflections, aligned with the positive root indices.
+
+    Propagated from the simple reflections along root orbits via
+    t(s_i(b)) = s_i t(b) s_i.
+    """
+    rs = g.rs
+    refl: dict[int, int] = {}
+    queue = []
+    for i in range(1, rs.rank + 1):
+        b = rs.simple_index(i)
+        refl[b] = g.simple(i)
+        queue.append(b)
+    for b in queue:  # grows while it is walked
+        for i in range(1, rs.rank + 1):
+            c = rs.reflect(i, b)
+            if rs.is_positive(c) and c not in refl:
+                si = g.simple(i)
+                refl[c] = g.multiply(g.multiply(si, refl[b]), si)
+                queue.append(c)
+    return tuple(refl[b] for b in rs.positive_indices())
+
+
 def bruhat_rows_by_covers(g: WeylGroup) -> list[int]:
     """Bruhat order as the transitive closure of reflection covers.
 
@@ -115,7 +138,7 @@ def bruhat_rows_by_covers(g: WeylGroup) -> list[int]:
     is one longer; rows are bitmasks with bit u of row w set iff u <= w.
     This route never looks at reduced words.
     """
-    reflections = g.reflection_ids()
+    reflections = reflection_ids(g)
     rows = [0] * g.order
     for w in range(g.order):  # ids are sorted by length
         acc = 1 << w
@@ -152,8 +175,26 @@ def inversions(line: tuple[int, ...]) -> int:
     )
 
 
-def faithful_by_orbits(rs: RootSystem, g: WeylGroup, I: Iterable[int]) -> bool:
+def w_orbit_in_subsystem(rs: RootSystem, alpha: int, I: Iterable[int]) -> bool:
+    """Whether the full Weyl orbit of the simple root alpha lies in Phi_I."""
+    sub = rs.sub_system(I)
+    start = rs.simple_index(alpha)
+    if start not in sub:
+        return False
+    orbit = {start}
+    stack = [start]
+    while stack:
+        r = stack.pop()
+        for i in range(1, rs.rank + 1):
+            r2 = rs.reflect(i, r)
+            if r2 not in orbit:
+                if r2 not in sub:
+                    return False
+                orbit.add(r2)
+                stack.append(r2)
+    return True
+
+
+def faithful_by_orbits(rs: RootSystem, I: Iterable[int]) -> bool:
     """Faithfulness via Weyl orbits: no simple root's orbit sits inside Phi_I."""
-    return not any(
-        g.w_orbit_in_subsystem(alpha, I) for alpha in range(1, rs.rank + 1)
-    )
+    return not any(w_orbit_in_subsystem(rs, alpha, I) for alpha in range(1, rs.rank + 1))

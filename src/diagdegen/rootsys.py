@@ -38,8 +38,9 @@ class DynkinError(ValueError):
 class WeylOrderCapError(ValueError):
     """Raised when a requested type exceeds a size cap.
 
-    The caps are the Weyl group order (``WEYL_ORDER_CAP``) and the 256 roots
-    whose images the quotient walk stores as bytes.
+    The caps are the Weyl group order (``WEYL_ORDER_CAP``), the lower order
+    cap of the sweep (``sweep.ORDER_CAP``) and the 256 roots whose images
+    the quotient walk stores as bytes.
     """
 
 
@@ -243,12 +244,16 @@ class RootSystem:
         return range(self.n_positive)
 
     def simple_subset(self, indices: Iterable[int]) -> frozenset[int]:
-        """Validate and normalize a subset of 1-based simple-root indices."""
-        out = frozenset(indices)
-        for i in out:
+        """Validate and normalize a subset of 1-based simple-root indices.
+
+        The ValueError names the first index out of range in the order given.
+        """
+        if type(indices) is not frozenset:  # a frozenset comes back as is, hash cached
+            indices = tuple(indices)
+        for i in indices:
             if not isinstance(i, int) or not 1 <= i <= self.rank:
-                raise ValueError(f"simple-root index {i!r} out of range 1..{self.rank}")
-        return out
+                raise ValueError(f"index {i!r} out of range 1..{self.rank}")
+        return frozenset(indices)
 
     def delta(self) -> frozenset[int]:
         return frozenset(range(1, self.rank + 1))

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 from . import degen, oracles
 from .cosets import min_reps
-from .rootsys import DynkinType, all_subsets, build_root_system, parse_dynkin
+from .rootsys import DynkinType, WeylOrderCapError, all_subsets, build_root_system, parse_dynkin
 from .weyl import generate
+
+#: The sweep refuses Weyl groups over this order: its fixed-point check reads
+#: the Bruhat matrix of W, which has |W|^2 bits.
+ORDER_CAP = 10_000
 
 
 class CheckResult:
@@ -79,8 +83,14 @@ def _repro(type_str: str, failure: dict) -> str:
 
 
 def run_sweep(type_str: str | DynkinType) -> SweepReport:
-    """Run every degeneration invariant check for one Dynkin type."""
+    """Run every degeneration invariant check for one Dynkin type.
+
+    Types whose Weyl group has more than ``ORDER_CAP`` elements are refused
+    with ``WeylOrderCapError`` before the root system is built.
+    """
     dynkin = parse_dynkin(type_str) if isinstance(type_str, str) else type_str
+    if dynkin.weyl_order(cap=ORDER_CAP) > ORDER_CAP:
+        raise WeylOrderCapError(f"{dynkin}: Weyl group order exceeds the sweep's cap {ORDER_CAP}")
     rs = build_root_system(dynkin)
     g = generate(rs)
     delta = rs.delta()

@@ -7,9 +7,9 @@ length with the lexicographically least reduced word breaking ties; ids,
 words and every downstream serialization are therefore reproducible
 byte-for-byte across runs.
 
-Bruhat order comes in two forms: a per-query walk down the canonical
-reduced word (always available), and a dense bitmask matrix built by the
-same subword recursion for groups up to ``MATRIX_CAP`` elements.  The
+Bruhat order is a dense bitmask matrix, |W|^2 bits, built by the subword
+recursion on the canonical reduced words; callers that read it bound |W|
+themselves (``sweep`` refuses groups over 10 000 elements).  The
 independent reflection-cover oracle lives in :mod:`diagdegen.oracles`.
 
 Derived tables (inverses, left multiplication, the Bruhat matrix, and the
@@ -30,9 +30,6 @@ from typing import Iterable
 
 from .rootsys import RootSystem
 
-#: Precompute the dense Bruhat matrix only for groups up to this order.
-MATRIX_CAP = 10_000
-
 
 class WeylGroup:
     """An enumerated Weyl group with constant-time generator multiplication."""
@@ -51,7 +48,6 @@ class WeylGroup:
         self._left_table: list[tuple[int, ...]] | None = None
         self._bruhat_rows: list[int] | None = None
         self._bruhat_up_rows: list[int] | None = None
-        self._reflections: tuple[int, ...] | None = None
         #: ``(reps, dims, dim_x, walk, rep_mask)`` of W^I per I, filled by ``min_reps``.
         self._quotients: dict[frozenset[int], tuple] = {}
 
@@ -133,34 +129,15 @@ class WeylGroup:
     # -- Bruhat order --------------------------------------------------------
 
     def bruhat_leq(self, u: int, w: int) -> bool:
-        """Whether u <= w in Bruhat order (subword test on canonical words)."""
-        rows = self.bruhat_rows()
-        if rows is not None:
-            return bool((rows[w] >> u) & 1)
-        return self._bruhat_leq_walk(u, w)
+        """Whether u <= w in Bruhat order."""
+        return bool((self.bruhat_rows()[w] >> u) & 1)
 
-    def _bruhat_leq_walk(self, u: int, w: int) -> bool:
-        # Greedy subword embedding along the canonical reduced word of w,
-        # scanned from the right: u <= w iff min(u, u s_i) <= w s_i for any
-        # right descent i of w.
-        lengths, gen_table = self.lengths, self.gen_table
-        while lengths[w]:
-            i = self.words[w][-1]
-            w = gen_table[w][i - 1]
-            v = gen_table[u][i - 1]
-            if lengths[v] < lengths[u]:
-                u = v
-        return u == 0
-
-    def bruhat_rows(self) -> list[int] | None:
+    def bruhat_rows(self) -> list[int]:
         """Bitmask rows of the order: bit u of row w is set iff u <= w.
 
         Built by the aggregated subword recursion
-        ``S(w) = S(w s_i) | S(w s_i) s_i`` for the last canonical-word letter
-        i; returns None for groups over MATRIX_CAP.
+        ``S(w) = S(w s_i) | S(w s_i) s_i`` for the last canonical-word letter i.
         """
-        if self.order > MATRIX_CAP:
-            return None
         if self._bruhat_rows is None:
             gen_table = self.gen_table
             rows = [0] * self.order
@@ -178,14 +155,11 @@ class WeylGroup:
             self._bruhat_rows = rows
         return self._bruhat_rows
 
-    def bruhat_up_rows(self) -> list[int] | None:
+    def bruhat_up_rows(self) -> list[int]:
         """Transposed bitmask rows: bit x of row v is set iff v <= x."""
-        rows = self.bruhat_rows()
-        if rows is None:
-            return None
         if self._bruhat_up_rows is None:
             up = [0] * self.order
-            for w, row in enumerate(rows):
+            for w, row in enumerate(self.bruhat_rows()):
                 m = row
                 bit = 1 << w
                 while m:
@@ -194,55 +168,6 @@ class WeylGroup:
                     m ^= b
             self._bruhat_up_rows = up
         return self._bruhat_up_rows
-
-    # -- reflections and orbits ----------------------------------------------
-
-    def reflection_ids(self) -> tuple[int, ...]:
-        """Ids of the reflections, aligned with the positive root indices.
-
-        Propagated from the simple reflections along root orbits via
-        t(s_i(b)) = s_i t(b) s_i.
-        """
-        if self._reflections is None:
-            rs = self.rs
-            refl: dict[int, int] = {}
-            queue = []
-            for i in range(1, rs.rank + 1):
-                b = rs.simple_index(i)
-                refl[b] = self.simple(i)
-                queue.append(b)
-            k = 0
-            while k < len(queue):
-                b = queue[k]
-                k += 1
-                for i in range(1, rs.rank + 1):
-                    c = rs.reflect(i, b)
-                    if rs.is_positive(c) and c not in refl:
-                        si = self.simple(i)
-                        refl[c] = self.multiply(self.multiply(si, refl[b]), si)
-                        queue.append(c)
-            self._reflections = tuple(refl[b] for b in rs.positive_indices())
-        return self._reflections
-
-    def w_orbit_in_subsystem(self, alpha: int, I: Iterable[int]) -> bool:
-        """Whether the full Weyl orbit of the simple root alpha lies in Phi_I."""
-        rs = self.rs
-        sub = rs.sub_system(I)
-        start = rs.simple_index(alpha)
-        if start not in sub:
-            return False
-        orbit = {start}
-        stack = [start]
-        while stack:
-            r = stack.pop()
-            for i in range(1, rs.rank + 1):
-                r2 = rs.reflect(i, r)
-                if r2 not in orbit:
-                    if r2 not in sub:
-                        return False
-                    orbit.add(r2)
-                    stack.append(r2)
-        return True
 
 
 def generate(rs: RootSystem) -> WeylGroup:

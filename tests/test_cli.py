@@ -6,6 +6,8 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -13,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diagdegen
 from diagdegen import cli, degen, oracles
 from diagdegen.cli import run
+from diagdegen.sweep import run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +97,44 @@ def test_rank_cap_exits_3(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("type_str", ["E6", "A6xA1"])
+def test_sweep_refuses_groups_over_its_cap_before_building_w(monkeypatch, capsys, type_str):
+    def refuse(*args):
+        raise AssertionError("the sweep must refuse before it builds the root system or W")
+
+    monkeypatch.setattr("diagdegen.sweep.build_root_system", refuse)
+    monkeypatch.setattr("diagdegen.sweep.generate", refuse)
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, ["sweep", type_str])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: {type_str}: Weyl group order exceeds the sweep's cap 10000\n"
+
+
+def test_sweep_cap_admits_a6(monkeypatch):
+    # |W(A6)| = 5 040: the sweep goes on to build W, which is stopped here.
+    class Reached(Exception):
+        pass
+
+    def reached(rs):
+        raise Reached
+
+    monkeypatch.setattr("diagdegen.sweep.generate", reached)
+    with pytest.raises(Reached):
+        run_sweep("A6")
+
+
+def test_run_sweep_script_refuses_e6_in_one_line():
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_sweep.py")
+    src = os.path.dirname(os.path.dirname(diagdegen.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, script, "--types", "E6"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: E6: Weyl group order exceeds the sweep's cap 10000\n"
+
+
 @pytest.mark.parametrize("type_str", ["A3000", "A300000", "B2xD100000"])
 def test_huge_rank_is_refused_cheaply(capsys, type_str):
     start = time.perf_counter()
@@ -150,6 +192,17 @@ def test_usage_errors_exit_2(capsys):
     assert run_capture(capsys, ["pn", "B3", "--J", "1"])[0] == 2
     assert run_capture(capsys, ["nonsense", "A2"])[0] == 2
     assert run_capture(capsys, ["degen", "A2"])[0] == 2
+
+
+@pytest.mark.parametrize("flag", ["--I", "--J"])
+@pytest.mark.parametrize("text,index", [("1,5", 5), ("1,0", 0), ("5,0", 5)])
+def test_subset_index_out_of_range_message(capsys, flag, text, index):
+    # The message names the first index out of range in the order given.
+    argv = ["degen", "A2", "--I", "2", "--J", "1"]
+    argv[argv.index(flag) + 1] = text
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag}: index {index} out of range 1..2\n"
 
 
 def test_sweep_reports_pass(capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BRUHAT_TYPES, SWEEP_TYPES, all_subsets, faithful_subsets, from_word
-from diagdegen import build_root_system, double_max_rep, double_min_reps, min_reps, quotient
+from diagdegen import build_root_system, double_min_reps, min_reps, quotient
 from diagdegen.oracles import coset_min_reps, double_coset_min_reps, double_cosets, subgroup_ids
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "A1xA1", "A2xA1"]
@@ -87,29 +87,6 @@ def test_double_min_reps_inversion_exchange(type_str, groups):
             lhs = set(double_min_reps(g, J, I))
             rhs = {g.inverse(w) for w in double_min_reps(g, I, J)}
             assert lhs == rhs
-
-
-def test_double_max_rep_examples(groups):
-    g = groups("A2")
-    assert double_max_rep(g, (), (), g.simple(1)) == g.simple(1)
-    assert double_max_rep(g, {2}, {1}, 0) == from_word(g, (1, 2))
-    assert double_max_rep(g, {1, 2}, {1, 2}, 0) == g.longest_id
-
-
-@pytest.mark.parametrize("type_str", ["A2", "A3", "B2", "B3"])
-def test_double_max_rep_is_maximal(type_str, groups):
-    g = groups(type_str)
-    subsets = all_subsets(g.rs.rank)
-    for I in subsets:
-        for J in subsets:
-            for w in range(0, g.order, 3):
-                top = double_max_rep(g, J, I, w)
-                # everything in W_I w W_J is Bruhat-below the top element
-                block = next(
-                    b for b in double_cosets(g, I, J) if w in b
-                )
-                assert top in block
-                assert all(g.bruhat_leq(u, top) for u in block)
 
 
 def test_involution_image_examples(groups):
