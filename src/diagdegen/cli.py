@@ -4,9 +4,9 @@ Grammar: ``diagdegen <verb> <TYPE> [--I a,b,...] [--J a,b,...] [--json]
 [--variant paper|signed] [--out PATH]``.  Subsets are comma-separated
 1-based simple-root indices; pass ``""`` for the empty subset.  Exit codes:
 0 success, 1 sweep failures, 2 usage errors (including an ``--out`` path
-that cannot be written), 3 domain errors (a size cap: the Weyl group order,
-the sweep's order cap or the walk's 256 roots; a non-faithful I),
-4 internal invariant failures.  Every error is one line on stderr.
+that cannot be written), 3 domain errors (a size cap of ``rootsys`` or
+the sweep's; a non-faithful I), 4 internal invariant failures.  Every
+error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Callable
 from . import VARIANTS, degen
 from .cosets import quotient
 from .rootsys import DynkinError, RootSystem, WeylOrderCapError, build_root_system
-from .weyl import generate
 
 # json.encoder, tempfile, projgor, sweep and wonderful are imported by the code
 # paths that use them: each call runs in a fresh process, and most verbs need none.
@@ -127,20 +126,22 @@ def _cmd_roots(ns) -> Rendered:
 
 
 def _cmd_weyl(ns) -> Rendered:
-    g = generate(build_root_system(ns.type))
-    length = g.lengths[g.longest_id]
+    rs = build_root_system(ns.type)
+    word = rs.longest_word(rs.delta())
+    if len(word) != rs.n_positive:
+        raise RuntimeError(f"{rs.dynkin}: longest word has length {len(word)}, not |Phi+|")
     payload = {
         "verb": "weyl",
-        "type": str(g.rs.dynkin),
-        "order": g.order,
-        "n_positive": g.rs.n_positive,
-        "longest_word": list(g.reduced_word(g.longest_id)),
+        "type": str(rs.dynkin),
+        "order": rs.dynkin.weyl_order(),
+        "n_positive": rs.n_positive,
+        "longest_word": list(word),
     }
 
     def text() -> str:
         return (
             f"W({payload['type']}): order {payload['order']}, longest element length "
-            f"{length}, word {payload['longest_word']}\n"
+            f"{rs.n_positive}, word {payload['longest_word']}\n"
         )
 
     return payload, text

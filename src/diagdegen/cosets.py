@@ -22,7 +22,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .rootsys import RootSystem, WeylOrderCapError
+from .rootsys import SIZE_CAP, RootSystem, WeylOrderCapError
 from .weyl import WeylGroup
 
 
@@ -77,18 +77,17 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
     letter by letter and then in order assigns entries in id order.
 
     A permutation is a byte string, byte r holding w(r): s_a w is one
-    ``bytes.translate`` through the table of s_a, so root systems with more
-    than 256 roots are refused before anything is allocated.
+    ``bytes.translate`` through the table of s_a (``ROOT_CAP`` is 256).
+    A quotient over ``SIZE_CAP`` is refused before anything is allocated.
 
     Self-checks: |W^I| = |W| / |W_I| by the degree formula, and every cell
     satisfies dim C_w = length(w) and dim C_w + dim C-_w = dim G/P_I.
     """
-    n = rs.n_roots
-    if n > 256:
-        raise WeylOrderCapError(
-            f"{rs.dynkin}: {n} roots exceed the quotient walk's limit of 256"
-        )
     I = rs.simple_subset(I)
+    expected = rs.dynkin.weyl_order() // rs.subdiagram_type(I).weyl_order()
+    if expected > SIZE_CAP:
+        raise WeylOrderCapError(f"{rs.dynkin}: |W^I| = {expected} exceeds cap {SIZE_CAP}")
+    n = rs.n_roots
     n_pos, rank = rs.n_positive, rs.rank
     simple = [rs.simple_index(a) for a in range(1, rank + 1)]
     refl = [bytes(rs.reflect(a, r) for r in range(n)) for a in range(1, rank + 1)]
@@ -173,7 +172,6 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
             words.append(word_of(bytes(rmul[d](p))) + (d + 1,))
         layer = nxt
 
-    expected = rs.dynkin.weyl_order() // rs.subdiagram_type(I).weyl_order()
     if len(lengths) != expected:
         raise RuntimeError(
             f"{rs.dynkin}: walked {len(lengths)} representatives of W^I, "

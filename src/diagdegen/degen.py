@@ -86,7 +86,7 @@ def fiber_components(g: WeylGroup, I: Iterable[int], J: Iterable[int]) -> list[F
 def _catalogue(rs: RootSystem, q: Quotient, J: Iterable[int]):
     J = rs.simple_subset(J)
     _require_faithful(rs, q.I)
-    w_j = _longest_word(rs, J)
+    w_j = rs.longest_word(J)
     phi_j = 0
     for r in rs.sub_system(J):
         phi_j |= 1 << r
@@ -94,28 +94,6 @@ def _catalogue(rs: RootSystem, q: Quotient, J: Iterable[int]):
     for w in q.double(J):
         left = q.act(w_j, w)
         yield w, left, (cell_roots[w] & phi_j).bit_count(), dims[left][1], dims[w][0]
-
-
-def _longest_word(rs: RootSystem, J: frozenset[int]) -> tuple[int, ...]:
-    """A reduced word of the longest element w_J of W_J.
-
-    Reflects the weight rho (1 on every simple coroot) by s_j while some
-    j in J pairs positively with it; the product of the letters taken
-    then sends rho to a J-antidominant weight, so it is w_J.
-    """
-    cartan = rs.cartan
-    mu = [1] * rs.rank
-    word = []
-    while True:
-        j = next((j for j in sorted(J) if mu[j - 1] > 0), None)
-        if j is None:
-            word.reverse()
-            return tuple(word)
-        c = mu[j - 1]
-        row = cartan[j - 1]
-        for i in range(rs.rank):
-            mu[i] -= c * row[i]
-        word.append(j)
 
 
 def component_count(g: WeylGroup, I: Iterable[int], J: Iterable[int]) -> int:

@@ -198,3 +198,34 @@ def w_orbit_in_subsystem(rs: RootSystem, alpha: int, I: Iterable[int]) -> bool:
 def faithful_by_orbits(rs: RootSystem, I: Iterable[int]) -> bool:
     """Faithfulness via Weyl orbits: no simple root's orbit sits inside Phi_I."""
     return not any(w_orbit_in_subsystem(rs, alpha, I) for alpha in range(1, rs.rank + 1))
+
+
+def weight_orbit(rs: RootSystem, I: Iterable[int]) -> dict[tuple[int, ...], int]:
+    """The orbit W·lambda_I with the breadth-first depth of each weight.
+
+    lambda_I = sum of the fundamental weights off I, whose stabilizer is
+    W_I, so the orbit is in bijection with W^I.  Each s_i moves the coset
+    representative by at most one in length, so a weight's depth in the
+    orbit graph is the length of its representative.  Weights are in
+    fundamental-weight coordinates and s_i mu = mu - mu_i alpha_i, where
+    alpha_i is row i of the Cartan matrix; no root permutation is involved.
+    A weight mu with mu_j >= 0 for every j in J is J-dominant, and each
+    W_J-orbit in W·lambda_I holds exactly one, so counting them gives
+    |^J W^I|.
+    """
+    I = rs.simple_subset(I)
+    cartan = rs.cartan
+    start = tuple(0 if i in I else 1 for i in range(1, rs.rank + 1))
+    depth = {start: 0}
+    layer = [start]
+    while layer:
+        nxt = []
+        for mu in layer:
+            for i, c in enumerate(mu):
+                if c:
+                    nu = tuple(m - c * a for m, a in zip(mu, cartan[i]))
+                    if nu not in depth:
+                        depth[nu] = depth[mu] + 1
+                        nxt.append(nu)
+        layer = nxt
+    return depth

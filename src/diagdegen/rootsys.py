@@ -21,9 +21,11 @@ from typing import Iterable, Iterator, NamedTuple
 
 Coords = tuple[int, ...]
 
-#: Refuse to build systems whose Weyl group is larger than this; it keeps
-#: every exhaustive sweep downstream desk-scale.  (E7 and E8 are refused.)
-WEYL_ORDER_CAP = 10**6
+#: Most roots ``build_root_system`` builds: the quotient walk stores w(r) as a byte.
+ROOT_CAP = 256
+#: Most objects a layer lists: |W| in ``generate``, |W^I| in ``cosets.quotient``
+#: and 2^rank in ``wonderful.orbit_lattice``, each checked before it allocates.
+SIZE_CAP = 10**6
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
 _EXACT_RANK = {"F": 4, "G": 2}
@@ -38,9 +40,9 @@ class DynkinError(ValueError):
 class WeylOrderCapError(ValueError):
     """Raised when a requested type exceeds a size cap.
 
-    The caps are the Weyl group order (``WEYL_ORDER_CAP``), the lower order
-    cap of the sweep (``sweep.ORDER_CAP``) and the 256 roots whose images
-    the quotient walk stores as bytes.
+    The caps are the number of roots (``ROOT_CAP``), the number of objects
+    a layer lists (``SIZE_CAP``: |W|, |W^I| or 2^rank) and the lower order
+    cap of the sweep (``sweep.ORDER_CAP``).
     """
 
 
@@ -282,6 +284,23 @@ class RootSystem:
             self._sub_systems[I] = out
         return out
 
+    def longest_word(self, J: Iterable[int]) -> tuple[int, ...]:
+        """A reduced word of the longest element w_J of W_J.
+
+        Reflects rho (1 on every simple coroot) by the smallest s_j, j in J,
+        that pairs positively with it, until rho is J-antidominant.  Read
+        backwards, this strips the smallest right descent of w_J each step,
+        so for J = Delta it is the word ``WeylGroup.reduced_word`` prints.
+        """
+        J = sorted(self.simple_subset(J))
+        mu = [1] * self.rank
+        word = []
+        while (j := next((j for j in J if mu[j - 1] > 0), None)) is not None:
+            c = mu[j - 1]
+            mu = [m - c * a for m, a in zip(mu, self.cartan[j - 1])]
+            word.append(j)
+        return tuple(reversed(word))
+
     def lambda_pairing(self, J: Iterable[int], r: int) -> int:
         """Pair a root against the cocharacter that is 0 on J, 1 off J."""
         J = self.simple_subset(J)
@@ -384,14 +403,16 @@ class RootSystem:
 def build_root_system(t: DynkinType | str) -> RootSystem:
     """Build the root system of a Dynkin type by reflection closure.
 
-    The generated roots are cross-checked for the basic sign dichotomy, and
-    construction refuses types over the Weyl order cap.
+    Types over ``ROOT_CAP`` roots are refused first (by the rank, then by
+    2 * sum(d - 1)); the generated roots are cross-checked for the sign dichotomy.
     """
     if isinstance(t, str):
         t = parse_dynkin(t)
-    if t.weyl_order(cap=WEYL_ORDER_CAP) > WEYL_ORDER_CAP:
-        raise WeylOrderCapError(f"{t}: Weyl group order exceeds cap {WEYL_ORDER_CAP}")
     rank = t.rank
+    if rank > ROOT_CAP // 2 or 2 * sum(
+        d - 1 for family, n in t.components for d in _degrees(family, n)
+    ) > ROOT_CAP:
+        raise WeylOrderCapError(f"{t}: number of roots exceeds cap {ROOT_CAP}")
     cartan = _block_diagonal([_component_cartan(f, n) for f, n in t.components])
 
     def reflect_coords(i: int, coords: Coords) -> Coords:

@@ -18,17 +18,16 @@ lazily on first use and hold plain ids and tuples only, never a reference
 back to the group, so dropping the last reference to a group frees it at
 once.
 
-Only the ``weyl`` and ``sweep`` verbs, the Bruhat order and the oracles
-enumerate W.  The catalogue verbs (``cosets``, ``degen``, ``flagdegen``)
-walk W^I with :func:`diagdegen.cosets.quotient` and never call
-:func:`generate`.
+Only the ``sweep`` verb, the Bruhat order and the oracles enumerate W.
+The catalogue verbs walk W^I with :func:`diagdegen.cosets.quotient`, and
+``weyl`` reads the order and the longest word from the root system.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .rootsys import RootSystem
+from .rootsys import SIZE_CAP, RootSystem, WeylOrderCapError
 
 
 class WeylGroup:
@@ -128,10 +127,6 @@ class WeylGroup:
 
     # -- Bruhat order --------------------------------------------------------
 
-    def bruhat_leq(self, u: int, w: int) -> bool:
-        """Whether u <= w in Bruhat order."""
-        return bool((self.bruhat_rows()[w] >> u) & 1)
-
     def bruhat_rows(self) -> list[int]:
         """Bitmask rows of the order: bit u of row w is set iff u <= w.
 
@@ -176,7 +171,11 @@ def generate(rs: RootSystem) -> WeylGroup:
     Breadth-first over right multiplication by simple reflections; new
     elements inherit their parent's word plus the generator letter, which
     yields ids sorted by (length, lexicographically least reduced word).
+    Groups over ``SIZE_CAP`` elements are refused before anything is built.
     """
+    expected = rs.dynkin.weyl_order()
+    if expected > SIZE_CAP:
+        raise WeylOrderCapError(f"{rs.dynkin}: Weyl group order exceeds cap {SIZE_CAP}")
     rank = rs.rank
     n = rs.n_roots
     simple_perms = [
@@ -205,7 +204,6 @@ def generate(rs: RootSystem) -> WeylGroup:
         gen_table.append(tuple(row))
         w += 1
 
-    expected = rs.dynkin.weyl_order()
     if len(perms) != expected:
         raise RuntimeError(
             f"{rs.dynkin}: enumerated {len(perms)} elements, order formula says {expected}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .rootsys import DynkinType, RootSystem, all_subsets
+from .rootsys import SIZE_CAP, DynkinType, RootSystem, WeylOrderCapError, all_subsets
 
 
 class OrbitDescriptor(NamedTuple):
@@ -51,5 +51,7 @@ def orbit(rs: RootSystem, J: Iterable[int]) -> OrbitDescriptor:
 
 
 def orbit_lattice(rs: RootSystem) -> list[OrbitDescriptor]:
-    """All 2^rank orbits, ordered by |J| and then lexicographic J."""
+    """All 2^rank orbits, ordered by |J| and then lexicographic J; at most SIZE_CAP."""
+    if 2**rs.rank > SIZE_CAP:
+        raise WeylOrderCapError(f"{rs.dynkin}: number of orbits 2^{rs.rank} exceeds cap {SIZE_CAP}")
     return [orbit(rs, J) for J in all_subsets(rs.rank)]

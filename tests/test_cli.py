@@ -156,29 +156,42 @@ def test_rank_beyond_int_conversion_exits_2(capsys):
     ["cosets", "E6", "--I", "2,3,4,5,6"],
     ["degen", "E6", "--I", "1,2,3,4,5", "--J", "2,4", "--json"],
     ["flagdegen", "B3", "--J", "1"],
+    ["weyl", "E6"],
+    ["weyl", "E8"],
+    ["roots", "E8"],
+    ["orbits", "E7"],
 ], ids=" ".join)
 def test_catalogue_verbs_never_enumerate_w(monkeypatch, capsys, argv):
     def refuse(rs):
         raise AssertionError("the catalogue verbs must not enumerate W")
 
     monkeypatch.setattr("diagdegen.weyl.generate", refuse)
-    monkeypatch.setattr("diagdegen.cli.generate", refuse)
+    assert not hasattr(cli, "generate")
     code, out, err = run_capture(capsys, argv)
     assert (code, err) == (0, "")
     assert out
 
 
-def test_quotient_walk_refuses_more_than_256_roots(monkeypatch, capsys):
-    # A22 has 506 roots; raise the order cap so the root count is what refuses it.
-    monkeypatch.setattr("diagdegen.rootsys.WEYL_ORDER_CAP", 10**30)
+def test_quotient_walk_refuses_more_than_256_roots(capsys):
+    # A22 has 506 roots: the root system is refused before the walk starts.
     code, out, err = run_capture(capsys, ["cosets", "A22", "--I", ""])
     assert code == 3
     assert out == ""
-    assert err == "error: A22: 506 roots exceed the quotient walk's limit of 256\n"
+    assert err == "error: A22: number of roots exceeds cap 256\n"
 
 
-def test_quotient_walk_admits_e8(monkeypatch, capsys):
-    monkeypatch.setattr("diagdegen.rootsys.WEYL_ORDER_CAP", 10**9)
+@pytest.mark.parametrize("argv,message", [
+    (["cosets", "E8", "--I", ""], "E8: |W^I| = 696729600 exceeds cap 1000000"),
+    (["orbits", "A1" + "xA1" * 19], "A1" + "xA1" * 19 + ": number of orbits 2^20 exceeds cap 1000000"),
+], ids=["cosets E8 full flag", "orbits A1^20"])
+def test_listing_over_the_size_cap_is_refused_cheaply(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_quotient_walk_admits_e8(capsys):
     code, out, err = run_capture(capsys, ["cosets", "E8", "--I", "1,2,3,4,5,6,7", "--json"])
     assert (code, err) == (0, "")
     assert len(json.loads(out)["reps"]) == 240

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from conftest import BRUHAT_TYPES, SWEEP_TYPES, all_subsets, faithful_subsets, from_word
 from diagdegen import build_root_system, double_min_reps, min_reps, quotient
-from diagdegen.oracles import coset_min_reps, double_coset_min_reps, double_cosets, subgroup_ids
+from diagdegen.oracles import (
+    coset_min_reps,
+    double_coset_min_reps,
+    double_cosets,
+    subgroup_ids,
+    weight_orbit,
+)
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "G2", "A1xA1", "A2xA1"]
 
@@ -271,3 +277,42 @@ def test_walk_of_e6_maximal_parabolic():
     assert q.lengths == tuple(sorted(q.lengths)) and q.lengths[-1] == 16
     assert q.words[:3] == ((), (1,), (3, 1))
     assert all(plus == length for (plus, _), length in zip(q.dims, q.lengths))
+
+
+def _small_e_quotients():
+    # Every faithful I of E6, E7, E8 with |W^I| <= 2 500: 26 + 7 + 2 quotients.
+    out = []
+    for type_str in ("E6", "E7", "E8"):
+        rs = build_root_system(type_str)
+        order = rs.dynkin.weyl_order()
+        out.extend(
+            pytest.param(type_str, I, id=f"{type_str}-{','.join(map(str, sorted(I)))}")
+            for I in faithful_subsets(rs)
+            if order // rs.subdiagram_type(I).weyl_order() <= 2500
+        )
+    return out
+
+
+@pytest.mark.parametrize("type_str,I", _small_e_quotients())
+def test_walk_matches_weight_orbit_on_e_types(type_str, I):
+    rs = build_root_system(type_str)
+    q = quotient(rs, I)
+    orbit = weight_orbit(rs, I)
+    assert sorted(orbit.values()) == list(q.lengths)
+    # Bit j - 1 of a weight's mask is set iff it is not dominant for s_j.
+    masks = {}
+    for mu in orbit:
+        m = sum(1 << j for j, c in enumerate(mu) if c < 0)
+        masks[m] = masks.get(m, 0) + 1
+    for J in all_subsets(rs.rank):
+        j_mask = sum(1 << (j - 1) for j in J)
+        dominant = sum(n for m, n in masks.items() if not m & j_mask)
+        assert len(q.double(J)) == dominant
+
+
+def test_weight_orbit_counts():
+    assert len(_small_e_quotients()) == 35
+    # The 27 lines on a cubic surface, the 56-dimensional E7 and the 240 roots of E8.
+    assert len(weight_orbit(build_root_system("E6"), {2, 3, 4, 5, 6})) == 27
+    assert len(weight_orbit(build_root_system("E7"), {1, 2, 3, 4, 5, 6})) == 56
+    assert len(weight_orbit(build_root_system("E8"), {1, 2, 3, 4, 5, 6, 7})) == 240

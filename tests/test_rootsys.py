@@ -9,6 +9,7 @@ from diagdegen import (
     DynkinError,
     WeylOrderCapError,
     build_root_system,
+    generate,
     parse_dynkin,
 )
 from diagdegen.oracles import (
@@ -73,10 +74,25 @@ def test_parse_roundtrip(components):
 
 
 def test_weyl_order_cap_refuses_e7_e8():
-    for big in ("E7", "E8"):
-        with pytest.raises(WeylOrderCapError):
-            build_root_system(big)
+    # E7 and E8 build; only enumerating their Weyl groups is refused.
+    for big, n_positive in (("E7", 63), ("E8", 120)):
+        rs = build_root_system(big)
+        assert rs.n_positive == n_positive
+        with pytest.raises(WeylOrderCapError, match="exceeds cap 1000000"):
+            generate(rs)
     assert build_root_system("E6").n_positive == 36
+
+
+@pytest.mark.parametrize("type_str", ["A22", "A1" + "xA1" * 128, "B2xD100000"],
+                         ids=["A22", "A1^129", "B2xD100000"])
+def test_root_cap_refuses_before_building(type_str):
+    with pytest.raises(WeylOrderCapError, match="number of roots exceeds cap 256"):
+        build_root_system(type_str)
+
+
+def test_root_cap_admits_256_roots():
+    assert build_root_system("A1" + "xA1" * 127).n_roots == 256
+    assert build_root_system("A15").n_roots == 240
 
 
 def test_a2_roots():

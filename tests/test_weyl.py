@@ -138,6 +138,30 @@ def test_unique_longest_element(type_str, groups):
     assert g.multiply(g.longest_id, g.longest_id) == 0
 
 
+@pytest.mark.parametrize("type_str", SWEEP_TYPES + ["F4", "B2xA1", "A2xA1"])
+def test_longest_word_is_the_printed_word(type_str, groups):
+    g = groups(type_str)
+    rs = g.rs
+    assert rs.longest_word(rs.delta()) == g.reduced_word(g.longest_id)
+    for J in all_subsets(rs.rank):
+        word = rs.longest_word(J)
+        assert from_word(g, word) == g.longest_in(J)
+        assert len(word) == g.lengths[g.longest_in(J)]
+
+
+@pytest.mark.parametrize("type_str", ["E6", "E7", "E8"])
+def test_longest_word_sends_every_positive_root_negative(type_str):
+    # A word of |Phi+| letters whose product inverts every positive root is
+    # a reduced word of the longest element.
+    rs = build_root_system(type_str)
+    word = rs.longest_word(rs.delta())
+    assert len(word) == rs.n_positive
+    images = list(rs.positive_indices())
+    for a in reversed(word):
+        images = [rs.reflect(a, r) for r in images]
+    assert not any(rs.is_positive(r) for r in images)
+
+
 @pytest.mark.parametrize("type_str", ["A1", "B2", "B3", "C3", "D4", "G2", "F4"])
 def test_longest_element_acts_as_minus_one(type_str, groups):
     g = groups(type_str)
@@ -155,10 +179,11 @@ def test_longest_element_of_a2_is_not_minus_one(groups):
 def test_bruhat_examples(groups):
     g = groups("A2")
     s1, s2 = g.simple(1), g.simple(2)
+    rows = g.bruhat_rows()
     for w in range(g.order):
-        assert g.bruhat_leq(0, w)
-    assert g.bruhat_leq(s1, from_word(g, (1, 2)))
-    assert not g.bruhat_leq(s1, s2)
+        assert rows[w] & 1
+    assert (rows[from_word(g, (1, 2))] >> s1) & 1
+    assert not (rows[s2] >> s1) & 1
 
 
 @pytest.mark.parametrize("type_str", BRUHAT_TYPES)
