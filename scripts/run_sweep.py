@@ -5,8 +5,9 @@ Every check compares the component catalogue against brute-force oracles
 (double-coset enumeration, closed-fiber formula, fixed points, weight
 sets); a clean run prints PASS per type and exits 0.  A type the sweep
 refuses (its Weyl group is over the sweep's order cap) or cannot parse
-ends the run with one ``error:`` line on stderr and exit 3 or 2, as in
-``diagdegen sweep``.
+ends the run with one ``error:`` line on stderr and exit 3 or 2, and an
+internal invariant failure with one such line and exit 4, as in
+``diagdegen sweep``; exit 1 always means a FAIL.
 
 Usage:
     python scripts/run_sweep.py
@@ -39,6 +40,9 @@ def main() -> int:
         except (DynkinError, WeylOrderCapError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2 if isinstance(exc, DynkinError) else 3
+        except (RuntimeError, AssertionError) as exc:
+            print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+            return 4
         elapsed = time.perf_counter() - start
         if args.json:
             print(json.dumps(report.to_json_obj(), sort_keys=True))

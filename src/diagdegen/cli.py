@@ -4,9 +4,9 @@ Grammar: ``diagdegen <verb> <TYPE> [--I a,b,...] [--J a,b,...] [--json]
 [--variant paper|signed] [--out PATH]``.  Subsets are comma-separated
 1-based simple-root indices; pass ``""`` for the empty subset.  Exit codes:
 0 success, 1 sweep failures, 2 usage errors (including an ``--out`` path
-that cannot be written), 3 domain errors (a size cap of ``rootsys`` or
-the sweep's; a non-faithful I), 4 internal invariant failures.  Every
-error is one line on stderr.
+that is empty or cannot be written), 3 domain errors (a size cap of
+``rootsys`` or the sweep's; a non-faithful I), 4 internal invariant
+failures.  Every error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -424,6 +424,8 @@ def run(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
     try:
+        if ns.out == "":
+            raise UsageError("--out: empty path")
         payload, text = _DISPATCH[ns.verb](ns)
     except (DynkinError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -438,7 +440,7 @@ def run(argv: list[str] | None = None) -> int:
         rendered = _render_json(payload) + "\n"
     else:
         rendered = text()
-    if ns.out:
+    if ns.out is not None:
         try:
             _write_file(ns.out, rendered)
         except OSError as exc:

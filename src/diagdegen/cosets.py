@@ -19,8 +19,7 @@ cache it once per group and ``I``.
 from __future__ import annotations
 
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .rootsys import SIZE_CAP, RootSystem, WeylOrderCapError
 from .weyl import WeylGroup
@@ -42,9 +41,14 @@ class Quotient(NamedTuple):
     dim_x: int
     lengths: tuple[int, ...]
     words: tuple[tuple[int, ...], ...]
-    dims: tuple[tuple[int, int], ...]
     left: tuple[tuple[int, ...], ...]
     cell_roots: tuple[int, ...]
+
+    @property
+    def dims(self) -> tuple[tuple[int, int], ...]:
+        """(dim C_w, dim C-_w) per entry: (length, dim_x - length), as the walk checks."""
+        dim_x = self.dim_x
+        return tuple((length, dim_x - length) for length in self.lengths)
 
     def act(self, word: Iterable[int], k: int = 0) -> int:
         """The entry of the coset s_{a_1} ... s_{a_m} w_k W_I, for word (a_1, ..., a_m)."""
@@ -90,10 +94,9 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
     n = rs.n_roots
     n_pos, rank = rs.n_positive, rs.rank
     simple = [rs.simple_index(a) for a in range(1, rank + 1)]
-    refl = [bytes(rs.reflect(a, r) for r in range(n)) for a in range(1, rank + 1)]
     pad = bytes(range(n, 256))
-    lmul = [sa + pad for sa in refl]  # translate tables: p.translate(lmul[a]) = s_a p
-    rmul = [itemgetter(*sa) for sa in refl]  # bytes(rmul[d](p)) = p s_d
+    lmul = [sa + pad for sa in rs.reflections]  # translate tables: p.translate(lmul[a]) = s_a p
+    rmul = [itemgetter(*sa) for sa in rs.reflections]  # bytes(rmul[d](p)) = p s_d
     phi_i = rs.sub_system(I)
     off_neg = [b for b in range(n_pos, n) if b not in phi_i]
     dim_x = len(off_neg)
@@ -128,7 +131,6 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
 
     lengths = [0]
     words: list[tuple[int, ...]] = [()]
-    dims: list[tuple[int, int]] = []
     cell_roots: list[int] = []
     left: list[tuple[int, ...]] = []
     rows = {0: [0] * rank}  # left-table rows of the current and the next layer
@@ -144,7 +146,6 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
             minus = (mask >> n_pos).bit_count()
             if plus != length or plus + minus != dim_x:
                 raise RuntimeError(f"cell dimensions of rep {k} are inconsistent")
-            dims.append((plus, minus))
             cell_roots.append(mask)
         fixed = [{p[r] for r in i_roots} for p in layer]
         nxt = []
@@ -177,8 +178,7 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
             f"{rs.dynkin}: walked {len(lengths)} representatives of W^I, "
             f"the order formula says {expected}"
         )
-    return Quotient(I, dim_x, tuple(lengths), tuple(words), tuple(dims),
-                    tuple(left), tuple(cell_roots))
+    return Quotient(I, dim_x, tuple(lengths), tuple(words), tuple(left), tuple(cell_roots))
 
 
 class QuotientData(NamedTuple):
@@ -187,14 +187,13 @@ class QuotientData(NamedTuple):
     group: WeylGroup
     I: frozenset[int]
     reps: tuple[int, ...]
-    dims: Mapping[int, tuple[int, int]]
     dim_x: int
     walk: Quotient
     #: Bit w is set iff w is in W^I.
     rep_mask: int
 
     def __contains__(self, w: int) -> bool:
-        return w in self.dims
+        return w >= 0 and (self.rep_mask >> w) & 1 == 1
 
     def canonicalize(self, w: int) -> int:
         """The unique member of W^I in the coset w W_I, read from the left table."""
@@ -202,19 +201,19 @@ class QuotientData(NamedTuple):
 
     def cell_dims(self, w: int) -> tuple[int, int]:
         """(dim C_w, dim C-_w) for a representative w; raises off W^I."""
-        try:
-            return self.dims[w]
-        except KeyError:
-            raise ValueError(f"element {w} is not a minimal representative") from None
+        if w not in self:
+            raise ValueError(f"element {w} is not a minimal representative")
+        length = self.group.lengths[w]
+        return (length, self.dim_x - length)
 
     def involution_image(self, w: int) -> int:
         """The image of w under w -> w_Delta w w_I, an involution of W^I."""
-        if w not in self.dims:
+        if w not in self:
             raise ValueError(f"element {w} is not a minimal representative")
         g = self.group
         w_i = g.longest_in(self.I)
         out = g.multiply(g.multiply(g.longest_id, w), w_i)
-        if out not in self.dims:
+        if out not in self:
             raise RuntimeError("involution left the representative set")
         return out
 
@@ -227,9 +226,9 @@ def min_reps(g: WeylGroup, I: Iterable[int]) -> QuotientData:
     dim C_w = length(w) and dim C_w + dim C-_w = dim G/P_I.
 
     The walk of :func:`quotient` is mapped to ids by multiplying out its
-    words, once per group and I, and cached on the group as a plain tuple
-    with a read-only dims mapping; every call wraps it in a new
-    QuotientData, so the cache never refers back to the group.
+    words, once per group and I, and cached on the group as a plain tuple;
+    every call wraps it in a new QuotientData, so the cache never refers
+    back to the group.
     """
     I = g.rs.simple_subset(I)
     cached = g._quotients.get(I)
@@ -247,8 +246,7 @@ def min_reps(g: WeylGroup, I: Iterable[int]) -> QuotientData:
         rep_mask = 0
         for w in reps:
             rep_mask |= 1 << w
-        dims = MappingProxyType(dict(zip(reps, walk.dims)))
-        cached = g._quotients[I] = (tuple(reps), dims, walk.dim_x, walk, rep_mask)
+        cached = g._quotients[I] = (tuple(reps), walk.dim_x, walk, rep_mask)
     return QuotientData(g, I, *cached)
 
 

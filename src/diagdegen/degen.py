@@ -90,10 +90,10 @@ def _catalogue(rs: RootSystem, q: Quotient, J: Iterable[int]):
     phi_j = 0
     for r in rs.sub_system(J):
         phi_j |= 1 << r
-    cell_roots, dims = q.cell_roots, q.dims
+    cell_roots, lengths, dim_x = q.cell_roots, q.lengths, q.dim_x
     for w in q.double(J):
         left = q.act(w_j, w)
-        yield w, left, (cell_roots[w] & phi_j).bit_count(), dims[left][1], dims[w][0]
+        yield w, left, (cell_roots[w] & phi_j).bit_count(), dim_x - lengths[left], lengths[w]
 
 
 def component_count(g: WeylGroup, I: Iterable[int], J: Iterable[int]) -> int:

@@ -194,10 +194,16 @@ def _block_diagonal(blocks: list[list[list[int]]]) -> tuple[tuple[int, ...], ...
 
 
 class RootSystem:
-    """A finite crystallographic root system with stable root indexing."""
+    """A finite crystallographic root system with stable root indexing.
+
+    ``reflections[i - 1]`` tabulates the i-th simple reflection: byte r is
+    the index of s_i(r).  The table holds the images the reflection closure
+    of :func:`build_root_system` computed (``ROOT_CAP`` keeps every index
+    in a byte), so the Cartan formula is evaluated in one place only.
+    """
 
     def __init__(self, dynkin: DynkinType, cartan: tuple[tuple[int, ...], ...],
-                 positives: list[Coords]):
+                 positives: list[Coords], images: dict[Coords, list[Coords]]):
         self.dynkin = dynkin
         self.cartan = cartan
         self.rank = dynkin.rank
@@ -205,6 +211,9 @@ class RootSystem:
         roots = list(positives) + [tuple(-c for c in r) for r in positives]
         self.roots: tuple[Coords, ...] = tuple(roots)
         self.index: dict[Coords, int] = {r: k for k, r in enumerate(roots)}
+        self.reflections: tuple[bytes, ...] = tuple(
+            bytes(self.index[images[r][i]] for r in roots) for i in range(self.rank)
+        )
         self._simple_index = tuple(
             self.index[tuple(1 if j == i else 0 for j in range(self.rank))]
             for i in range(self.rank)
@@ -263,14 +272,8 @@ class RootSystem:
     # -- reflections and subsystems --------------------------------------
 
     def reflect(self, i: int, r: int) -> int:
-        """Apply the i-th simple reflection to the root with index r."""
-        coords = self.roots[r]
-        pairing = sum(c * self.cartan[j][i - 1] for j, c in enumerate(coords) if c)
-        if pairing == 0:
-            return r
-        new = list(coords)
-        new[i - 1] -= pairing
-        return self.root_index(new)
+        """Index of s_i(r), read from the table of the i-th simple reflection."""
+        return self.reflections[i - 1][r]
 
     def sub_system(self, I: Iterable[int]) -> frozenset[int]:
         """Indices of the roots supported on the simple subset I (cached per I)."""
@@ -300,11 +303,6 @@ class RootSystem:
             mu = [m - c * a for m, a in zip(mu, self.cartan[j - 1])]
             word.append(j)
         return tuple(reversed(word))
-
-    def lambda_pairing(self, J: Iterable[int], r: int) -> int:
-        """Pair a root against the cocharacter that is 0 on J, 1 off J."""
-        J = self.simple_subset(J)
-        return sum(c for j, c in enumerate(self.roots[r]) if (j + 1) not in J)
 
     # -- Dynkin diagram structure -----------------------------------------
 
@@ -404,7 +402,8 @@ def build_root_system(t: DynkinType | str) -> RootSystem:
     """Build the root system of a Dynkin type by reflection closure.
 
     Types over ``ROOT_CAP`` roots are refused first (by the rank, then by
-    2 * sum(d - 1)); the generated roots are cross-checked for the sign dichotomy.
+    2 * sum(d - 1)); the generated roots are cross-checked for the sign
+    dichotomy.  The closure's images s_i(r) become ``RootSystem.reflections``.
     """
     if isinstance(t, str):
         t = parse_dynkin(t)
@@ -423,11 +422,12 @@ def build_root_system(t: DynkinType | str) -> RootSystem:
 
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     seen: set[Coords] = set(simple)
+    images: dict[Coords, list[Coords]] = {}  # root -> [s_1(root), ..., s_rank(root)]
     stack = list(simple)
     while stack:
         r = stack.pop()
-        for i in range(rank):
-            r2 = reflect_coords(i, r)
+        images[r] = row = [reflect_coords(i, r) for i in range(rank)]
+        for r2 in row:
             if r2 not in seen:
                 seen.add(r2)
                 stack.append(r2)
@@ -440,4 +440,4 @@ def build_root_system(t: DynkinType | str) -> RootSystem:
         tuple(-c for c in r) not in seen for r in positives
     ):
         raise RuntimeError(f"root closure of {t} is not sign-symmetric")
-    return RootSystem(t, cartan, positives)
+    return RootSystem(t, cartan, positives, images)

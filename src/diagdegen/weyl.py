@@ -1,11 +1,13 @@
 """Weyl groups as permutation groups on the root index set.
 
-Elements are permutations of ``RootSystem.roots``, stored as tuples and
-referenced by dense integer ids.  The group is enumerated breadth-first
-over right multiplication by the simple reflections, which orders ids by
-length with the lexicographically least reduced word breaking ties; ids,
-words and every downstream serialization are therefore reproducible
-byte-for-byte across runs.
+Elements are permutations of ``RootSystem.roots``, stored as byte strings
+in the format of ``RootSystem.reflections`` and of the walk of
+:func:`diagdegen.cosets.quotient` (byte r holds w(r)), and referenced by
+dense integer ids.  The group is enumerated breadth-first over right
+multiplication by the simple reflections, which orders ids by length with
+the lexicographically least reduced word breaking ties; ids, words and
+every downstream serialization are therefore reproducible byte-for-byte
+across runs.
 
 Bruhat order is a dense bitmask matrix, |W|^2 bits, built by the subword
 recursion on the canonical reduced words; callers that read it bound |W|
@@ -33,9 +35,9 @@ from .rootsys import SIZE_CAP, RootSystem, WeylOrderCapError
 class WeylGroup:
     """An enumerated Weyl group with constant-time generator multiplication."""
 
-    def __init__(self, rs: RootSystem, perms: list[tuple[int, ...]],
+    def __init__(self, rs: RootSystem, perms: list[bytes],
                  words: list[tuple[int, ...]], lengths: list[int],
-                 gen_table: list[tuple[int, ...]], index: dict[tuple[int, ...], int]):
+                 gen_table: list[tuple[int, ...]], index: dict[bytes, int]):
         self.rs = rs
         self.perms = perms
         self.words = words
@@ -47,7 +49,7 @@ class WeylGroup:
         self._left_table: list[tuple[int, ...]] | None = None
         self._bruhat_rows: list[int] | None = None
         self._bruhat_up_rows: list[int] | None = None
-        #: ``(reps, dims, dim_x, walk, rep_mask)`` of W^I per I, filled by ``min_reps``.
+        #: ``(reps, dim_x, walk, rep_mask)`` of W^I per I, filled by ``min_reps``.
         self._quotients: dict[frozenset[int], tuple] = {}
 
     @property
@@ -62,21 +64,17 @@ class WeylGroup:
 
     def multiply(self, u: int, w: int) -> int:
         pu = self.perms[u]
-        return self.index[tuple(map(pu.__getitem__, self.perms[w]))]
+        return self.index[bytes(map(pu.__getitem__, self.perms[w]))]
 
     def inverse(self, w: int) -> int:
         return self._inverse_table()[w]
 
     def _inverse_table(self) -> list[int]:
         if self._inverses is None:
-            n = len(self.perms[0])
-            inv = []
-            for p in self.perms:
-                q = [0] * n
-                for r, pr in enumerate(p):
-                    q[pr] = r
-                inv.append(self.index[tuple(q)])
-            self._inverses = inv
+            roots = range(len(self.perms[0]))
+            index = self.index
+            self._inverses = [index[bytes(sorted(roots, key=p.__getitem__))]
+                              for p in self.perms]
         return self._inverses
 
     def left_table(self) -> list[tuple[int, ...]]:
@@ -176,23 +174,20 @@ def generate(rs: RootSystem) -> WeylGroup:
     expected = rs.dynkin.weyl_order()
     if expected > SIZE_CAP:
         raise WeylOrderCapError(f"{rs.dynkin}: Weyl group order exceeds cap {SIZE_CAP}")
-    rank = rs.rank
     n = rs.n_roots
-    simple_perms = [
-        tuple(rs.reflect(i, r) for r in range(n)) for i in range(1, rank + 1)
-    ]
-    identity = tuple(range(n))
-    perms: list[tuple[int, ...]] = [identity]
+    pad = bytes(range(n, 256))
+    identity = bytes(range(n))
+    perms: list[bytes] = [identity]
     words: list[tuple[int, ...]] = [()]
     lengths: list[int] = [0]
-    index: dict[tuple[int, ...], int] = {identity: 0}
+    index: dict[bytes, int] = {identity: 0}
     gen_table: list[tuple[int, ...]] = []
     w = 0
     while w < len(perms):
-        pw = perms[w]
+        table = perms[w] + pad
         row = []
-        for i, sp in enumerate(simple_perms):
-            q = tuple(map(pw.__getitem__, sp))
+        for i, sp in enumerate(rs.reflections):
+            q = sp.translate(table)  # w s_i: byte r holds w(s_i(r))
             j = index.get(q)
             if j is None:
                 j = len(perms)

@@ -29,12 +29,15 @@ class OrbitDescriptor(NamedTuple):
 
 
 def orbit(rs: RootSystem, J: Iterable[int]) -> OrbitDescriptor:
-    """Describe the orbit attached to the simple subset J."""
+    """Describe the orbit attached to the simple subset J.
+
+    The Levi roots are Phi_J and the parabolic adds every positive root.
+    Since a root's coordinates share one sign, these are the roots that
+    pair to 0 and to >= 0 with the cocharacter that is 0 on J, 1 off J.
+    """
     J = rs.simple_subset(J)
-    parabolic = frozenset(
-        r for r in range(rs.n_roots) if rs.lambda_pairing(J, r) >= 0
-    )
-    levi = frozenset(r for r in parabolic if rs.lambda_pairing(J, r) == 0)
+    levi = rs.sub_system(J)
+    parabolic = levi.union(rs.positive_indices())
     unipotent = rs.n_positive - len(levi) // 2
     dim_g = rs.n_roots + rs.rank
     # unipotent radicals of P_J- x P_J, then diag(L_J) (C_J x C_J)

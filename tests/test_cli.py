@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib.resources
+import importlib.util
 import io
 import json
 import os
@@ -124,15 +125,37 @@ def test_sweep_cap_admits_a6(monkeypatch):
         run_sweep("A6")
 
 
+RUN_SWEEP = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_sweep.py")
+
+
 def test_run_sweep_script_refuses_e6_in_one_line():
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_sweep.py")
     src = os.path.dirname(os.path.dirname(diagdegen.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, script, "--types", "E6"], env=env,
+    done = subprocess.run([sys.executable, RUN_SWEEP, "--types", "E6"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "error: E6: Weyl group order exceeds the sweep's cap 10000\n"
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+def test_run_sweep_script_reports_internal_failure_as_exit_4(monkeypatch, capsys, exc):
+    # exit 1 is a FAIL of the sweep; a crash must not look like one
+    spec = importlib.util.spec_from_file_location("run_sweep_script", RUN_SWEEP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def broken(rs):
+        raise exc("enumerated 5 elements, order formula says 6")
+
+    monkeypatch.setattr("diagdegen.sweep.generate", broken)
+    monkeypatch.setattr(sys, "argv", [RUN_SWEEP, "--types", "A2"])
+    code = module.main()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == (
+        "error: internal invariant failed: enumerated 5 elements, order formula says 6\n"
+    )
 
 
 @pytest.mark.parametrize("type_str", ["A3000", "A300000", "B2xD100000"])
@@ -260,6 +283,13 @@ def test_out_flag_missing_directory_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+def test_out_flag_empty_path_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_capture(capsys, ["roots", "A1", "--out", ""])
+    assert (code, out, err) == (2, "", "error: --out: empty path\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_out_flag_failed_rename_leaves_no_file(tmp_path, capsys):

@@ -38,6 +38,20 @@ def test_orbit_lattice_dims(type_str, dims):
     assert [o.orbit_dim for o in orbit_lattice(rs)] == dims
 
 
+@pytest.mark.parametrize("type_str", SWEEP_TYPES + ["E6"])
+def test_orbit_roots_are_the_lambda_pairing_sets(type_str):
+    # reference: pair each root with the cocharacter that is 0 on J, 1 off J
+    rs = build_root_system(type_str)
+    for J in all_subsets(rs.rank):
+        pairing = [
+            sum(c for j, c in enumerate(rs.coords(r), 1) if j not in J)
+            for r in range(rs.n_roots)
+        ]
+        o = orbit(rs, J)
+        assert o.parabolic_roots == {r for r, p in enumerate(pairing) if p >= 0}
+        assert o.levi_roots == {r for r, p in enumerate(pairing) if p == 0}
+
+
 @pytest.mark.parametrize("type_str", SWEEP_TYPES)
 def test_orbit_lattice_shape(type_str):
     rs = build_root_system(type_str)
