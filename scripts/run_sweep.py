@@ -6,8 +6,9 @@ Every check compares the component catalogue against brute-force oracles
 sets); a clean run prints PASS per type and exits 0.  A type the sweep
 refuses (its Weyl group is over the sweep's order cap) or cannot parse
 ends the run with one ``error:`` line on stderr and exit 3 or 2, and an
-internal invariant failure with one such line and exit 4, as in
-``diagdegen sweep``; exit 1 always means a FAIL.
+internal invariant failure with one such line and exit 4, and running out
+of memory with ``error: out of memory`` and exit 3, as in ``diagdegen
+sweep``; exit 1 always means a FAIL.
 
 Usage:
     python scripts/run_sweep.py
@@ -26,6 +27,15 @@ DEFAULT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A2xA1", 
 
 
 def main() -> int:
+    try:
+        return _main()
+    except MemoryError:
+        pass  # leave the handler first, so the traceback frees what the sweep held
+    print("error: out of memory", file=sys.stderr)
+    return 3
+
+
+def _main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--types", default=",".join(DEFAULT_TYPES),
                         help="comma-separated Dynkin types to sweep")

@@ -5,8 +5,9 @@ Grammar: ``diagdegen <verb> <TYPE> [--I a,b,...] [--J a,b,...] [--json]
 1-based simple-root indices; pass ``""`` for the empty subset.  Exit codes:
 0 success, 1 sweep failures, 2 usage errors (including an ``--out`` path
 that is empty or cannot be written), 3 domain errors (a size cap of
-``rootsys`` or the sweep's; a non-faithful I), 4 internal invariant
-failures.  Every error is one line on stderr.
+``rootsys`` or the sweep's; a non-faithful I; running out of memory
+anywhere in the call), 4 internal invariant failures.  Every error is one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -417,6 +418,15 @@ def _write_file(path: str, text: str) -> None:
 
 
 def run(argv: list[str] | None = None) -> int:
+    try:
+        return _run(argv)
+    except MemoryError:
+        pass  # leave the handler first, so the traceback frees what the call held
+    print("error: out of memory", file=sys.stderr)
+    return 3
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

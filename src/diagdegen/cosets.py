@@ -199,31 +199,24 @@ class QuotientData(NamedTuple):
         """The unique member of W^I in the coset w W_I, read from the left table."""
         return self.reps[self.walk.act(self.group.words[w])]
 
-    def cell_dims(self, w: int) -> tuple[int, int]:
-        """(dim C_w, dim C-_w) for a representative w; raises off W^I."""
-        if w not in self:
-            raise ValueError(f"element {w} is not a minimal representative")
-        length = self.group.lengths[w]
-        return (length, self.dim_x - length)
-
     def involution_image(self, w: int) -> int:
-        """The image of w under w -> w_Delta w w_I, an involution of W^I."""
+        """The image of w under w -> w_Delta w w_I, an involution of W^I.
+
+        w w_I is the longest element of w W_I, so w_Delta w w_I is the
+        shortest element of w_Delta w W_I.
+        """
         if w not in self:
             raise ValueError(f"element {w} is not a minimal representative")
         g = self.group
-        w_i = g.longest_in(self.I)
-        out = g.multiply(g.multiply(g.longest_id, w), w_i)
-        if out not in self:
-            raise RuntimeError("involution left the representative set")
-        return out
+        return self.canonicalize(g.multiply(g.longest_id, w))
 
 
 def min_reps(g: WeylGroup, I: Iterable[int]) -> QuotientData:
-    """Minimal coset representatives W^I with their Schubert cell dimensions.
+    """Minimal coset representatives W^I, with the walk that lists them.
 
-    dim C_w counts the positive roots sent by w^-1 into the negatives off
-    Phi_I, dim C-_w the negative ones; they always satisfy
-    dim C_w = length(w) and dim C_w + dim C-_w = dim G/P_I.
+    Entry k of the walk is ``reps[k]``; its Schubert cell dimensions are
+    ``walk.dims[k]``, which always satisfy dim C_w = length(w) and
+    dim C_w + dim C-_w = dim G/P_I.
 
     The walk of :func:`quotient` is mapped to ids by multiplying out its
     words, once per group and I, and cached on the group as a plain tuple;

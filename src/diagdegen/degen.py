@@ -153,14 +153,17 @@ def _bits(mask: int) -> list[int]:
 def weight_set(g: WeylGroup, I: Iterable[int], w: int) -> frozenset[int]:
     """Torus weights on the total degeneration at the fixed point of w.
 
-    Computed both as Phi- intersect w(Phi - Phi_I) and as Phi- minus
-    w(Phi_I); the two expressions must agree, and the set has exactly
+    Computed as Phi- intersect w(Phi - Phi_I) from the permutation of
+    ``generate``, and again from the walk of W^I: its cell roots of w are
+    w(Phi- - Phi_I), which folded onto Phi- (r > 0 becomes -r) give the
+    same set.  The two routes must agree, and the set has exactly
     dim G/P_I elements.
     """
     rs = g.rs
     I = rs.simple_subset(I)
     q = min_reps(g, I)
-    w = q.canonicalize(w)
+    k = q.walk.act(g.words[w])
+    w = q.reps[k]
     phi_i = rs.sub_system(I)
     perm = g.perms[w]
     first = frozenset(
@@ -168,9 +171,8 @@ def weight_set(g: WeylGroup, I: Iterable[int], w: int) -> frozenset[int]:
         if a not in phi_i and not rs.is_positive(perm[a])
     )
     second = frozenset(
-        a for a in range(rs.n_positive, rs.n_roots)
-    ) - frozenset(perm[a] for a in phi_i)
+        rs.neg(r) if rs.is_positive(r) else r for r in _bits(q.walk.cell_roots[k])
+    )
     if first != second:
         raise AssertionError(f"weight set expressions disagree for w={w}, I={sorted(I)}")
     return first
-

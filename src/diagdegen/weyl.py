@@ -7,10 +7,11 @@ dense integer ids.  The group is enumerated breadth-first over right
 multiplication by the simple reflections, which orders ids by length with
 the lexicographically least reduced word breaking ties; ids, words and
 every downstream serialization are therefore reproducible byte-for-byte
-across runs.
+across runs.  Each element stores one reduced word, the one it prints:
+the word that strips the smallest right descent at each step.
 
 Bruhat order is a dense bitmask matrix, |W|^2 bits, built by the subword
-recursion on the canonical reduced words; callers that read it bound |W|
+recursion on the stored words; callers that read it bound |W|
 themselves (``sweep`` refuses groups over 10 000 elements).  The
 independent reflection-cover oracle lives in :mod:`diagdegen.oracles`.
 
@@ -26,8 +27,6 @@ The catalogue verbs walk W^I with :func:`diagdegen.cosets.quotient`, and
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from .rootsys import SIZE_CAP, RootSystem, WeylOrderCapError
 
@@ -94,34 +93,11 @@ class WeylGroup:
         """Image root index of root r under the element w."""
         return self.perms[w][r]
 
-    # -- words, longest elements, descents ----------------------------------
+    # -- words ---------------------------------------------------------------
 
     def reduced_word(self, w: int) -> tuple[int, ...]:
         """Reduced word for w, always stripping the smallest right descent."""
-        out = []
-        lengths, gen_table = self.lengths, self.gen_table
-        while lengths[w]:
-            for i in range(1, self.rs.rank + 1):
-                v = gen_table[w][i - 1]
-                if lengths[v] < lengths[w]:
-                    out.append(i)
-                    w = v
-                    break
-        out.reverse()
-        return tuple(out)
-
-    def longest_in(self, I: Iterable[int]) -> int:
-        """Longest element of the parabolic subgroup generated by I."""
-        I = sorted(self.rs.simple_subset(I))
-        w = 0
-        while True:
-            for i in I:
-                v = self.gen_table[w][i - 1]
-                if self.lengths[v] > self.lengths[w]:
-                    w = v
-                    break
-            else:
-                return w
+        return self.words[w]
 
     # -- Bruhat order --------------------------------------------------------
 
@@ -129,7 +105,8 @@ class WeylGroup:
         """Bitmask rows of the order: bit u of row w is set iff u <= w.
 
         Built by the aggregated subword recursion
-        ``S(w) = S(w s_i) | S(w s_i) s_i`` for the last canonical-word letter i.
+        ``S(w) = S(w s_i) | S(w s_i) s_i`` for the last letter i of the
+        stored word, a right descent of w.
         """
         if self._bruhat_rows is None:
             gen_table = self.gen_table
@@ -166,10 +143,11 @@ class WeylGroup:
 def generate(rs: RootSystem) -> WeylGroup:
     """Enumerate the Weyl group of a root system.
 
-    Breadth-first over right multiplication by simple reflections; new
-    elements inherit their parent's word plus the generator letter, which
+    Breadth-first over right multiplication by simple reflections, which
     yields ids sorted by (length, lexicographically least reduced word).
-    Groups over ``SIZE_CAP`` elements are refused before anything is built.
+    The stored word of w is then the word of w s_d followed by d, for the
+    smallest right descent d of w.  Groups over ``SIZE_CAP`` elements are
+    refused before anything is built.
     """
     expected = rs.dynkin.weyl_order()
     if expected > SIZE_CAP:
@@ -178,7 +156,6 @@ def generate(rs: RootSystem) -> WeylGroup:
     pad = bytes(range(n, 256))
     identity = bytes(range(n))
     perms: list[bytes] = [identity]
-    words: list[tuple[int, ...]] = [()]
     lengths: list[int] = [0]
     index: dict[bytes, int] = {identity: 0}
     gen_table: list[tuple[int, ...]] = []
@@ -193,7 +170,6 @@ def generate(rs: RootSystem) -> WeylGroup:
                 j = len(perms)
                 index[q] = j
                 perms.append(q)
-                words.append(words[w] + (i + 1,))
                 lengths.append(lengths[w] + 1)
             row.append(j)
         gen_table.append(tuple(row))
@@ -205,4 +181,8 @@ def generate(rs: RootSystem) -> WeylGroup:
         )
     if len(perms) > 1 and (lengths[-1] != rs.n_positive or lengths[-2] == lengths[-1]):
         raise RuntimeError(f"{rs.dynkin}: longest element is not unique of length |Phi+|")
+    words: list[tuple[int, ...]] = [()]
+    for row, length in zip(gen_table[1:], lengths[1:]):
+        d = next(d for d, v in enumerate(row) if lengths[v] < length)
+        words.append(words[row[d]] + (d + 1,))
     return WeylGroup(rs, perms, words, lengths, gen_table, index)

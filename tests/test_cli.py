@@ -128,22 +128,31 @@ def test_sweep_cap_admits_a6(monkeypatch):
 RUN_SWEEP = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_sweep.py")
 
 
-def test_run_sweep_script_refuses_e6_in_one_line():
+def _child_env():
+    """The environment for a child interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(diagdegen.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, RUN_SWEEP, "--types", "E6"], env=env,
+
+
+def test_run_sweep_script_refuses_e6_in_one_line():
+    done = subprocess.run([sys.executable, RUN_SWEEP, "--types", "E6"], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "error: E6: Weyl group order exceeds the sweep's cap 10000\n"
 
 
-@pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
-def test_run_sweep_script_reports_internal_failure_as_exit_4(monkeypatch, capsys, exc):
-    # exit 1 is a FAIL of the sweep; a crash must not look like one
+def _load_run_sweep_script():
     spec = importlib.util.spec_from_file_location("run_sweep_script", RUN_SWEEP)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+def test_run_sweep_script_reports_internal_failure_as_exit_4(monkeypatch, capsys, exc):
+    # exit 1 is a FAIL of the sweep; a crash must not look like one
+    module = _load_run_sweep_script()
 
     def broken(rs):
         raise exc("enumerated 5 elements, order formula says 6")
@@ -156,6 +165,51 @@ def test_run_sweep_script_reports_internal_failure_as_exit_4(monkeypatch, capsys
     assert captured.err == (
         "error: internal invariant failed: enumerated 5 elements, order formula says 6\n"
     )
+
+
+def test_run_sweep_script_reports_out_of_memory_as_exit_3(monkeypatch, capsys):
+    module = _load_run_sweep_script()
+
+    def exhausted(rs):
+        raise MemoryError
+
+    monkeypatch.setattr("diagdegen.sweep.generate", exhausted)
+    monkeypatch.setattr(sys, "argv", [RUN_SWEEP, "--types", "A2"])
+    code = module.main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", "error: out of memory\n")
+
+
+def test_out_of_memory_exits_3_in_one_line():
+    # A1^19 has 2^19 orbits, under SIZE_CAP but over a 400 MB address space.
+    import resource
+
+    limit = 400 * 10**6
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "diagdegen.cli", "orbits", "x".join(["A1"] * 19)],
+        env=_child_env(), preexec_fn=cap_address_space, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: out of memory\n"
+
+
+def test_trace_child_wraps_the_methods_the_benchmark_reads(tmp_path):
+    # bench/run.py --trace 1 reads these spans; a renamed method would drop them.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    trace = tmp_path / "trace"
+    done = subprocess.run(
+        [sys.executable, os.path.join("bench", "trace_child.py"), str(trace), "sweep", "A2"],
+        cwd=root, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    header = json.loads(trace.read_bytes().split(b"\n", 1)[0])
+    assert {"weyl.inverse", "weyl.reduced_word", "weyl.bruhat_rows", "weyl.bruhat_up_rows",
+            "rootsys.sub_system"} <= set(header["names"])
 
 
 @pytest.mark.parametrize("type_str", ["A3000", "A300000", "B2xD100000"])

@@ -126,17 +126,11 @@ def test_cell_dims_examples(groups):
     g = groups("A2")
     q = min_reps(g, {2})
     assert q.dim_x == 2
-    assert q.cell_dims(0) == (0, 2)
-    assert q.cell_dims(g.simple(1)) == (1, 1)
+    assert q.reps[:2] == (0, g.simple(1))
+    assert q.walk.dims == ((0, 2), (1, 1), (2, 0))
     q0 = min_reps(g, ())
-    assert q0.cell_dims(g.longest_id) == (3, 0)
-
-
-def test_cell_dims_rejects_non_reps(groups):
-    g = groups("A2")
-    q = min_reps(g, {2})
-    with pytest.raises(ValueError):
-        q.cell_dims(g.simple(2))
+    assert q0.reps[-1] == g.longest_id
+    assert q0.walk.dims[-1] == (3, 0)
 
 
 @pytest.mark.parametrize("type_str", SWEEP_TYPES)
@@ -144,8 +138,7 @@ def test_cell_dims_postconditions(type_str, groups):
     g = groups(type_str)
     for I in all_subsets(g.rs.rank):
         q = min_reps(g, I)
-        for w in q.reps:
-            plus, minus = q.cell_dims(w)
+        for w, (plus, minus) in zip(q.reps, q.walk.dims, strict=True):
             assert plus == g.lengths[w]
             assert plus + minus == q.dim_x
 

@@ -14,6 +14,8 @@ from diagdegen import (
     min_reps,
     weight_set,
 )
+from diagdegen import cosets
+from diagdegen.sweep import run_sweep
 
 
 def test_p1_total_degeneration(groups):
@@ -73,11 +75,13 @@ def test_closed_fiber_examples(groups):
     q = min_reps(g, {2})
     pairs = closed_fiber(g, {2})
     assert pairs == [(w, w) for w in q.reps]
-    assert [q.cell_dims(w) for w, _ in pairs] == [(0, 2), (1, 1), (2, 0)]
+    dims = dict(zip(q.reps, q.walk.dims))
+    assert [dims[w] for w, _ in pairs] == [(0, 2), (1, 1), (2, 0)]
     q0 = min_reps(g, ())
     full = closed_fiber(g, ())
     assert len(full) == 6
-    assert all(sum(q0.cell_dims(w)) == 3 for w, _ in full)
+    assert [w for w, _ in full] == list(q0.reps)
+    assert all(sum(d) == 3 for d in q0.walk.dims)
 
 
 @pytest.mark.parametrize("type_str", SWEEP_TYPES)
@@ -142,6 +146,27 @@ def test_weight_set_size_is_dim_x(type_str, groups):
         q = min_reps(g, I)
         for w in q.reps:
             assert len(weight_set(g, I, w)) == q.dim_x
+
+
+def test_sweep_weight_set_check_catches_a_wrong_cell_root(monkeypatch):
+    # The check holds generate's permutations against the walk's cell roots,
+    # so one misplaced cell root must fail it.
+    real = cosets.quotient
+
+    def mutant(rs, I):
+        q = real(rs, I)
+        if str(rs.dynkin) == "B3" and q.I == {2}:
+            roots = list(q.cell_roots)
+            top = roots[1].bit_length() - 1
+            assert not rs.is_positive(top)
+            roots[1] ^= 1 << top
+            q = q._replace(cell_roots=tuple(roots))
+        return q
+
+    monkeypatch.setattr(cosets, "quotient", mutant)
+    report = run_sweep("B3")
+    weights = next(c for c in report.checks if c.name == "weight-set identity")
+    assert weights.failures
 
 
 def test_full_flag_fiber_examples(groups):

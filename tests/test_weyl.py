@@ -86,14 +86,20 @@ def test_perm_commutes_with_negation(type_str, groups):
             assert g.act(w, rs.neg(r)) == rs.neg(g.act(w, r))
 
 
+def longest_by_scan(g, I):
+    """The longest element of W_I, scanned from the subgroup's closure."""
+    return max(subgroup_ids(g, I), key=g.lengths.__getitem__)
+
+
 def test_longest_in_examples(groups):
     g = groups("A2")
-    assert g.longest_in(()) == 0
-    top = g.longest_in({1, 2})
-    assert top == g.longest_id
+    rs = g.rs
+    assert from_word(g, rs.longest_word(())) == longest_by_scan(g, ()) == 0
+    top = from_word(g, rs.longest_word({1, 2}))
+    assert top == longest_by_scan(g, {1, 2}) == g.longest_id
     assert g.reduced_word(top) == (1, 2, 1)
     assert g.lengths[top] == 3
-    assert g.longest_in({1}) == g.simple(1)
+    assert from_word(g, rs.longest_word({1})) == longest_by_scan(g, {1}) == g.simple(1)
 
 
 @pytest.mark.parametrize("type_str", SMALL_TYPES)
@@ -103,7 +109,7 @@ def test_longest_in_against_subgroup_scan(type_str, groups):
         sub = subgroup_ids(g, I)
         top_len = max(g.lengths[w] for w in sub)
         candidates = [w for w in sub if g.lengths[w] == top_len]
-        assert candidates == [g.longest_in(I)]
+        assert candidates == [from_word(g, g.rs.longest_word(I))]
 
 
 def test_reduced_word_examples(groups):
@@ -145,8 +151,9 @@ def test_longest_word_is_the_printed_word(type_str, groups):
     assert rs.longest_word(rs.delta()) == g.reduced_word(g.longest_id)
     for J in all_subsets(rs.rank):
         word = rs.longest_word(J)
-        assert from_word(g, word) == g.longest_in(J)
-        assert len(word) == g.lengths[g.longest_in(J)]
+        top = longest_by_scan(g, J)
+        assert from_word(g, word) == top
+        assert len(word) == g.lengths[top]
 
 
 @pytest.mark.parametrize("type_str", ["E6", "E7", "E8"])
@@ -238,9 +245,16 @@ def test_generation_is_deterministic():
 
 
 def test_ids_sorted_by_length_then_word(groups):
-    g = groups("B3")
-    keys = [(g.lengths[w], g.words[w]) for w in range(g.order)]
-    assert keys == sorted(keys)
+    for type_str in ("B3", "B4", "F4"):
+        g = groups(type_str)
+        least = [()]  # the lexicographically least reduced word, in id order
+        for w in range(1, g.order):
+            row = g.gen_table[w]
+            descents = [d for d, v in enumerate(row) if g.lengths[v] < g.lengths[w]]
+            least.append(min(least[row[d]] + (d + 1,) for d in descents))
+            assert g.words[w][-1] == descents[0] + 1  # the stored word's last letter
+        keys = [(g.lengths[w], least[w]) for w in range(g.order)]
+        assert keys == sorted(keys)
 
 
 def test_gen_table_matches_multiply(groups):
