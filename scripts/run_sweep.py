@@ -23,7 +23,8 @@ import time
 from diagdegen.rootsys import DynkinError, WeylOrderCapError
 from diagdegen.sweep import run_sweep
 
-DEFAULT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A2xA1", "B4", "A5", "F4"]
+DEFAULT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A2xA1", "B4", "A5", "F4",
+                 "D5", "B5", "C5", "A6"]
 
 
 def main() -> int:

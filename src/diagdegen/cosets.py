@@ -10,10 +10,11 @@ The quotient is the unit of work.  :func:`quotient` walks W^I by length
 from the root system alone, never building W: a walk of W(E6)/W(D5) visits
 27 permutations, not 51 840.  The catalogue verbs (``cosets``, ``degen``,
 ``flagdegen``) read everything from the walk; ``^J W^I`` and the left
-action on W/W_I come out of its left table.  ``min_reps``,
-``double_min_reps`` and :func:`diagdegen.degen.fiber_components` adapt the
+action on W/W_I come out of its left table.  ``min_reps`` adapts the
 walk to the ids of an enumerated group, for the sweep and the tests, and
-cache it once per group and ``I``.
+caches it once per group and ``I``; ``double_min_reps`` and
+:func:`diagdegen.degen.fiber_components` read it in those ids for the
+tests.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ gives back the diagonal as a single component.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, count, product
 from typing import Iterable, NamedTuple
 
 from .cosets import Quotient, double_min_reps, min_reps
@@ -86,10 +86,7 @@ def fiber_components(g: WeylGroup, I: Iterable[int], J: Iterable[int]) -> list[F
 def _catalogue(rs: RootSystem, q: Quotient, J: Iterable[int]):
     J = rs.simple_subset(J)
     _require_faithful(rs, q.I)
-    w_j = rs.longest_word(J)
-    phi_j = 0
-    for r in rs.sub_system(J):
-        phi_j |= 1 << r
+    w_j, phi_j = rs.longest_word(J), rs.sub_system_mask(J)
     cell_roots, lengths, dim_x = q.cell_roots, q.lengths, q.dim_x
     for w in q.double(J):
         left = q.act(w_j, w)
@@ -130,7 +127,8 @@ def fixed_point_profile(g: WeylGroup, I: Iterable[int], w: int) -> set[tuple[int
     |W|^2 bits, which is why ``sweep`` bounds |W|.
     """
     q = min_reps(g, g.rs.simple_subset(I))
-    w = q.canonicalize(w)
+    if w not in q:
+        w = q.canonicalize(w)
     rows, up = g.bruhat_rows(), g.bruhat_up_rows()
     down_w = rows[w] & q.rep_mask
     up_w = up[w] & q.rep_mask
@@ -150,11 +148,15 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def weight_set(g: WeylGroup, I: Iterable[int], w: int) -> frozenset[int]:
     """Torus weights on the total degeneration at the fixed point of w.
 
-    Computed as Phi- intersect w(Phi - Phi_I) from the permutation of
-    ``generate``, and again from the walk of W^I: its cell roots of w are
+    Computed as the mask of Phi- minus w(Phi_I) from the permutation of
+    ``generate``, which for a bijection is Phi- intersect w(Phi - Phi_I),
+    and again from the walk of W^I: its cell roots of w are
     w(Phi- - Phi_I), which folded onto Phi- (r > 0 becomes -r) give the
     same set.  The two routes must agree, and the set has exactly
     dim G/P_I elements.
@@ -163,16 +165,15 @@ def weight_set(g: WeylGroup, I: Iterable[int], w: int) -> frozenset[int]:
     I = rs.simple_subset(I)
     q = min_reps(g, I)
     k = q.walk.act(g.words[w])
-    w = q.reps[k]
-    phi_i = rs.sub_system(I)
-    perm = g.perms[w]
-    first = frozenset(
-        perm[a] for a in range(rs.n_roots)
-        if a not in phi_i and not rs.is_positive(perm[a])
-    )
-    second = frozenset(
-        rs.neg(r) if rs.is_positive(r) else r for r in _bits(q.walk.cell_roots[k])
-    )
-    if first != second:
-        raise AssertionError(f"weight set expressions disagree for w={w}, I={sorted(I)}")
-    return first
+    perm = g.perms[q.reps[k]]
+    n_pos = rs.n_positive
+    pos = (1 << n_pos) - 1
+    image = 0
+    for a in rs.sub_system(I):
+        image |= 1 << perm[a]
+    first = (pos << n_pos) & ~image
+    cells = q.walk.cell_roots[k]
+    if first != ((cells & pos) << n_pos) | (cells & ~pos):
+        raise AssertionError(f"weight set expressions disagree for w={q.reps[k]}, I={sorted(I)}")
+    # the binary digits of the mask, lowest first, as bytes 0 and 1
+    return frozenset(compress(count(), bin(first)[:1:-1].encode().translate(_DIGITS)))

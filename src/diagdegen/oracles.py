@@ -1,10 +1,10 @@
 """Brute-force reference implementations for differential testing.
 
 Everything here recomputes a quantity by a route independent of the
-production code path: explicit coset enumeration instead of positivity
-filters, reflection-cover closure instead of subword tests, the concrete
-e_i - e_j model instead of Cartan-matrix closure, one-line permutations
-instead of root permutations.  The test suite and the ``sweep`` command
+production code path: cosets labelled by generator closure in W instead
+of the walk's positivity filters, reflection-cover closure instead of
+subword tests, the concrete e_i - e_j model instead of Cartan-matrix
+closure, one-line permutations instead of root permutations.  The test suite and the ``sweep`` command
 compare production outputs against these; none of them sits on a
 production computation path.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .rootsys import RootSystem
+from .rootsys import RootSystem, all_subsets
 from .weyl import WeylGroup
 
 
@@ -54,49 +54,83 @@ def subgroup_ids(g: WeylGroup, I: Iterable[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
-def coset_min_reps(g: WeylGroup, I: Iterable[int]) -> tuple[int, ...]:
-    """Minimal representatives of W/W_I by explicit coset enumeration."""
-    sub = sorted(subgroup_ids(g, I))
-    seen = [False] * g.order
-    reps = []
-    for w in range(g.order):
-        if seen[w]:
+def _coset_labels(g: WeylGroup, I: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Label every element by its coset w W_I, closing the right table under I.
+
+    Returns the label of each id and the least id of each label.  Labels
+    are numbered by their least ids, and ids are sorted by length, so the
+    least id of a coset is its minimal representative.
+    """
+    right = [i - 1 for i in sorted(g.rs.simple_subset(I))]
+    gen_table = g.gen_table
+    label = [-1] * g.order
+    least: list[int] = []
+    for seed in range(g.order):
+        if label[seed] >= 0:
             continue
-        coset = {g.multiply(w, v) for v in sub}
-        for u in coset:
-            seen[u] = True
-        reps.append(min(coset, key=lambda u: (g.lengths[u], u)))
-    return tuple(sorted(reps))
+        c = label[seed] = len(least)
+        least.append(seed)
+        stack = [seed]
+        while stack:
+            row = gen_table[stack.pop()]
+            for i in right:
+                v = row[i]
+                if label[v] < 0:
+                    label[v] = c
+                    stack.append(v)
+    return label, least
+
+
+def _left_action(g: WeylGroup, I: Iterable[int]) -> tuple[list[int], list[list[int]]]:
+    """Coset labels of W/W_I, and left multiplication on them.
+
+    s_j (w W_I) = (s_j w) W_I, so row c of the action holds the labels of
+    s_1 u, ..., s_rank u for the least element u of coset c.
+    """
+    label, least = _coset_labels(g, I)
+    left_table = g.left_table()
+    return label, [[label[v] for v in left_table[u]] for u in least]
+
+
+def _orbits(g: WeylGroup, act: list[list[int]], J: Iterable[int]) -> list[list[int]]:
+    """Orbits of W_J on the coset labels, by closure under the s_j, j in J."""
+    left = [j - 1 for j in sorted(g.rs.simple_subset(J))]
+    seen = [False] * len(act)
+    out = []
+    for c in range(len(act)):
+        if seen[c]:
+            continue
+        seen[c] = True
+        orbit = [c]
+        for d in orbit:  # grows while it is walked
+            row = act[d]
+            for j in left:
+                e = row[j]
+                if not seen[e]:
+                    seen[e] = True
+                    orbit.append(e)
+        out.append(orbit)
+    return out
+
+
+def coset_min_reps(g: WeylGroup, I: Iterable[int]) -> tuple[int, ...]:
+    """Minimal representatives of W/W_I: the least element of each coset label."""
+    return tuple(_coset_labels(g, I)[1])
 
 
 def double_cosets(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> list[frozenset[int]]:
-    """The partition of W into double cosets W_J w W_I, by closure."""
-    right = [i - 1 for i in sorted(g.rs.simple_subset(I))]
-    left = [j - 1 for j in sorted(g.rs.simple_subset(J))]
-    left_table = g.left_table()
-    seen = [False] * g.order
-    out = []
-    for seed in range(g.order):
-        if seen[seed]:
-            continue
-        block = {seed}
-        stack = [seed]
-        while stack:
-            w = stack.pop()
-            for i in right:
-                v = g.gen_table[w][i]
-                if v not in block:
-                    block.add(v)
-                    stack.append(v)
-            for j in left:
-                v = left_table[w][j]  # s_j * w
-                if v not in block:
-                    block.add(v)
-                    stack.append(v)
-        for u in block:
-            seen[u] = True
-        out.append(frozenset(block))
-    return out
+    """The partition of W into double cosets W_J w W_I: unions of W_J-orbits of cosets."""
+    label, act = _left_action(g, I)
+    members: list[list[int]] = [[] for _ in act]
+    for w, c in enumerate(label):
+        members[c].append(w)
+    return [frozenset(w for c in orbit for w in members[c]) for orbit in _orbits(g, act, J)]
+
+
+def double_coset_counts(g: WeylGroup, I: Iterable[int]) -> dict[frozenset[int], int]:
+    """|W_J\\W/W_I| for every J, from one labelling of the cosets of W_I."""
+    _, act = _left_action(g, I)
+    return {J: len(_orbits(g, act, J)) for J in all_subsets(g.rs.rank)}
 
 
 def double_coset_min_reps(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> tuple[int, ...]:

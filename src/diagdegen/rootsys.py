@@ -219,7 +219,8 @@ class RootSystem:
             for i in range(self.rank)
         )
         self._components = tuple(self._induced_components(range(1, self.rank + 1)))
-        self._sub_systems: dict[frozenset[int], frozenset[int]] = {}
+        self._sub_systems: dict[frozenset[int], tuple[frozenset[int], int]] = {}
+        self._longest_words: dict[frozenset[int], tuple[int, ...]] = {}
 
     # -- basic queries ---------------------------------------------------
 
@@ -277,32 +278,43 @@ class RootSystem:
 
     def sub_system(self, I: Iterable[int]) -> frozenset[int]:
         """Indices of the roots supported on the simple subset I (cached per I)."""
+        return self._sub_system(I)[0]
+
+    def sub_system_mask(self, I: Iterable[int]) -> int:
+        """:meth:`sub_system` as a bitmask: bit r is set iff root r is in Phi_I."""
+        return self._sub_system(I)[1]
+
+    def _sub_system(self, I: Iterable[int]) -> tuple[frozenset[int], int]:
         I = self.simple_subset(I)
         out = self._sub_systems.get(I)
         if out is None:
-            out = frozenset(
+            roots = frozenset(
                 r for r, coords in enumerate(self.roots)
                 if all(c == 0 or (j + 1) in I for j, c in enumerate(coords))
             )
-            self._sub_systems[I] = out
+            out = self._sub_systems[I] = (roots, sum(1 << r for r in roots))
         return out
 
     def longest_word(self, J: Iterable[int]) -> tuple[int, ...]:
-        """A reduced word of the longest element w_J of W_J.
+        """A reduced word of the longest element w_J of W_J (cached per J).
 
         Reflects rho (1 on every simple coroot) by the smallest s_j, j in J,
         that pairs positively with it, until rho is J-antidominant.  Read
         backwards, this strips the smallest right descent of w_J each step,
         so for J = Delta it is the word ``WeylGroup.reduced_word`` prints.
         """
-        J = sorted(self.simple_subset(J))
-        mu = [1] * self.rank
-        word = []
-        while (j := next((j for j in J if mu[j - 1] > 0), None)) is not None:
-            c = mu[j - 1]
-            mu = [m - c * a for m, a in zip(mu, self.cartan[j - 1])]
-            word.append(j)
-        return tuple(reversed(word))
+        J = self.simple_subset(J)
+        word = self._longest_words.get(J)
+        if word is None:
+            nodes = sorted(J)
+            mu = [1] * self.rank
+            steps = []
+            while (j := next((j for j in nodes if mu[j - 1] > 0), None)) is not None:
+                c = mu[j - 1]
+                mu = [m - c * a for m, a in zip(mu, self.cartan[j - 1])]
+                steps.append(j)
+            word = self._longest_words[J] = tuple(reversed(steps))
+        return word
 
     # -- Dynkin diagram structure -----------------------------------------
 

@@ -85,6 +85,12 @@ def _repro(type_str: str, failure: dict) -> str:
 def run_sweep(type_str: str | DynkinType) -> SweepReport:
     """Run every degeneration invariant check for one Dynkin type.
 
+    Each faithful I is walked once (``min_reps``), and each J is
+    catalogued on that walk.  The oracle counts the double cosets of every
+    J from one labelling of W/W_I (``oracles.double_coset_counts``); only
+    the closed fiber (J empty) is mapped to group ids, to compare it with
+    ``oracles.coset_min_reps``.
+
     Types whose Weyl group has more than ``ORDER_CAP`` elements are refused
     with ``WeylOrderCapError`` before the root system is built.
     """
@@ -103,14 +109,16 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
     fixed = CheckResult("fixed-point uniqueness")
     weights = CheckResult("weight-set identity")
 
+    neg_delta = {rs.neg(rs.simple_index(i)) for i in range(1, rs.rank + 1)}
     for I in faithful:
         q = min_reps(g, I)
-        dim_x = q.dim_x
+        walk, reps, dim_x = q.walk, q.reps, q.dim_x
         payload_i = sorted(I)
+        oracle_counts = oracles.double_coset_counts(g, I)
 
         counts_by_j: dict[frozenset[int], int] = {}
         for J in subsets:
-            comps = degen.fiber_components(g, I, J)
+            comps = degen.components(rs, walk, J)
             if not J:
                 closed_comps = comps
             payload = {"I": payload_i, "J": sorted(J)}
@@ -120,7 +128,7 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
                 if comp.total_dim != dim_x:
                     equidim.failures.append(
                         payload | {
-                            "w": list(g.reduced_word(comp.w)),
+                            "w": list(walk.words[comp.w]),
                             "total_dim": comp.total_dim,
                             "dim_x": dim_x,
                         }
@@ -129,7 +137,7 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
             counts.cases += 1
             n = len(comps)
             counts_by_j[J] = n
-            oracle_n = len(oracles.double_cosets(g, J, I))
+            oracle_n = oracle_counts[J]
             if n != oracle_n:
                 counts.failures.append(payload | {"count": n, "oracle": oracle_n})
             if (n == 1) != (J == delta):
@@ -144,30 +152,33 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
                         {"I": payload_i, "J": sorted(J), "j": j, "issue": "count not antitone"}
                     )
 
+        # the closed fiber over J = {} against the coset oracle: (X-_w, X_w) per w
         closed.cases += 1
-        pairs = [c.schubert_pair for c in closed_comps]
-        direct = degen.closed_fiber(g, I)
-        if pairs != direct:
-            closed.failures.append({"I": payload_i, "pairs": len(pairs), "direct": len(direct)})
+        got = [degen.FiberComponent(reps[c.w], reps[c.left_index], *c[2:]) for c in closed_comps]
+        direct = [
+            degen.FiberComponent(w, w, 0, dim_x - g.lengths[w], g.lengths[w])
+            for w in oracles.coset_min_reps(g, I)
+        ]
+        if got != direct:
+            closed.failures.append({"I": payload_i, "pairs": len(got), "direct": len(direct)})
 
-        neg_delta = {rs.neg(rs.simple_index(i)) for i in range(1, rs.rank + 1)}
         covered: set[int] = set()
-        for w in q.reps:
+        for k, w in enumerate(reps):
             fixed.cases += 1
             profile = degen.fixed_point_profile(g, I, w)
             if profile != {(w, w)}:
                 fixed.failures.append(
-                    {"I": payload_i, "w": list(g.reduced_word(w)), "profile_size": len(profile)}
+                    {"I": payload_i, "w": list(walk.words[k]), "profile_size": len(profile)}
                 )
             weights.cases += 1
             try:
                 ws = degen.weight_set(g, I, w)
             except AssertionError as exc:
-                weights.failures.append({"I": payload_i, "w": list(g.reduced_word(w)), "error": str(exc)})
+                weights.failures.append({"I": payload_i, "w": list(walk.words[k]), "error": str(exc)})
                 continue
             if len(ws) != dim_x:
                 weights.failures.append(
-                    {"I": payload_i, "w": list(g.reduced_word(w)), "size": len(ws), "dim_x": dim_x}
+                    {"I": payload_i, "w": list(walk.words[k]), "size": len(ws), "dim_x": dim_x}
                 )
             covered |= ws & neg_delta
         weights.cases += 1

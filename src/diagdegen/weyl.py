@@ -126,17 +126,17 @@ class WeylGroup:
         return self._bruhat_rows
 
     def bruhat_up_rows(self) -> list[int]:
-        """Transposed bitmask rows: bit x of row v is set iff v <= x."""
+        """Transposed bitmask rows: bit x of row v is set iff v <= x.
+
+        Each row is written as a binary string, so ``zip`` reads the
+        columns without a Python step per bit: column c of the strings is
+        bit n - 1 - c of every row, listed by row.
+        """
         if self._bruhat_up_rows is None:
-            up = [0] * self.order
-            for w, row in enumerate(self.bruhat_rows()):
-                m = row
-                bit = 1 << w
-                while m:
-                    b = m & -m
-                    up[b.bit_length() - 1] |= bit
-                    m ^= b
-            self._bruhat_up_rows = up
+            n = self.order
+            digits = [format(row, f"0{n}b") for row in self.bruhat_rows()]
+            up = [int("".join(column)[::-1], 2) for column in zip(*digits)]
+            self._bruhat_up_rows = up[::-1]
         return self._bruhat_up_rows
 
 

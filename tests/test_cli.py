@@ -371,11 +371,11 @@ def test_help_exits_0(capsys):
 
 def _break_sweep_oracles(monkeypatch):
     """Make the count oracle and the fixed-point check disagree with the catalogue."""
-    def wrong_count(g, J, I):
-        return real_count(g, J, I) + [frozenset()]
+    def wrong_counts(g, I):
+        return {J: n + 1 for J, n in real_counts(g, I).items()}
 
-    real_count = oracles.double_cosets
-    monkeypatch.setattr(oracles, "double_cosets", wrong_count)
+    real_counts = oracles.double_coset_counts
+    monkeypatch.setattr(oracles, "double_coset_counts", wrong_counts)
     monkeypatch.setattr(degen, "fixed_point_profile", lambda g, I, w: set())
 
 

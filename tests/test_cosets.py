@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BRUHAT_TYPES, SWEEP_TYPES, all_subsets, faithful_subsets, from_word
-from diagdegen import build_root_system, double_min_reps, min_reps, quotient
+from diagdegen import build_root_system, component_count, double_min_reps, min_reps, quotient
 from diagdegen.oracles import (
     coset_min_reps,
+    double_coset_counts,
     double_coset_min_reps,
     double_cosets,
     subgroup_ids,
@@ -82,6 +83,22 @@ def test_double_min_reps_against_bruteforce(type_str, groups):
             reps = double_min_reps(g, J, I)
             assert reps == double_coset_min_reps(g, J, I)
             assert len(reps) == len(double_cosets(g, J, I))
+
+
+@pytest.mark.parametrize("type_str", SWEEP_TYPES + ["F4", "A2xA1"])
+def test_double_coset_counts_match_each_route(type_str, groups):
+    # one labelling of W/W_I serves every J: the counts, the partition and
+    # the coset representatives all agree with the walk
+    g = groups(type_str)
+    subsets = all_subsets(g.rs.rank)
+    for I in faithful_subsets(g.rs):
+        assert coset_min_reps(g, I) == min_reps(g, I).reps
+        counts = double_coset_counts(g, I)
+        assert list(counts) == subsets
+        for J in subsets:
+            blocks = double_cosets(g, J, I)
+            assert sorted(w for b in blocks for w in b) == list(range(g.order))
+            assert counts[J] == len(blocks) == component_count(g, I, J)
 
 
 @pytest.mark.parametrize("type_str", SMALL_TYPES)

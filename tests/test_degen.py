@@ -14,7 +14,7 @@ from diagdegen import (
     min_reps,
     weight_set,
 )
-from diagdegen import cosets
+from diagdegen import cosets, degen
 from diagdegen.sweep import run_sweep
 
 
@@ -167,6 +167,22 @@ def test_sweep_weight_set_check_catches_a_wrong_cell_root(monkeypatch):
     report = run_sweep("B3")
     weights = next(c for c in report.checks if c.name == "weight-set identity")
     assert weights.failures
+
+
+def test_sweep_closed_fiber_check_catches_swapped_dimensions(monkeypatch):
+    # The check holds the J = {} catalogue against the coset oracle's
+    # (dim X - length, length) split, so swapping the two Schubert parts must fail it.
+    real = degen._catalogue
+
+    def swapped(rs, q, J):
+        for w, left, levi, xminus, x in real(rs, q, J):
+            yield w, left, levi, x, xminus
+
+    monkeypatch.setattr(degen, "_catalogue", swapped)
+    report = run_sweep("B3")
+    checks = {c.name: c for c in report.checks}
+    assert checks["closed-fiber formula"].failures
+    assert checks["equidimensionality"].ok
 
 
 def test_full_flag_fiber_examples(groups):

@@ -200,6 +200,15 @@ def test_bruhat_matrix_equals_cover_closure(type_str, groups):
 
 
 @pytest.mark.parametrize("type_str", BRUHAT_TYPES)
+def test_bruhat_up_rows_are_the_transpose(type_str, groups):
+    g = groups(type_str)
+    rows, up = g.bruhat_rows(), g.bruhat_up_rows()
+    assert len(up) == g.order
+    for v in range(g.order):
+        assert up[v] == sum(1 << x for x in range(g.order) if (rows[x] >> v) & 1)
+
+
+@pytest.mark.parametrize("type_str", BRUHAT_TYPES)
 def test_bruhat_is_a_partial_order(type_str, groups):
     g = groups(type_str)
     rows = g.bruhat_rows()
