@@ -3,12 +3,11 @@
 
 Every check compares the component catalogue against brute-force oracles
 (double-coset enumeration, closed-fiber formula, fixed points, weight
-sets); a clean run prints PASS per type and exits 0.  A type the sweep
-refuses (its Weyl group is over the sweep's order cap) or cannot parse
-ends the run with one ``error:`` line on stderr and exit 3 or 2, and an
-internal invariant failure with one such line and exit 4, and running out
-of memory with ``error: out of memory`` and exit 3, as in ``diagdegen
-sweep``; exit 1 always means a FAIL.
+sets); a clean run prints PASS per type and exits 0.  Errors end the run
+with one ``error:`` line on stderr and the exit code of ``diagdegen
+sweep``, mapped by the same ``diagdegen.cli.guarded``: 2 for a type it
+cannot parse, 3 for one over the sweep's order cap or for running out of
+memory, 4 for an internal invariant failure; exit 1 always means a FAIL.
 
 Usage:
     python scripts/run_sweep.py
@@ -20,7 +19,7 @@ import json
 import sys
 import time
 
-from diagdegen.rootsys import DynkinError, WeylOrderCapError
+from diagdegen.cli import guarded
 from diagdegen.sweep import run_sweep
 
 DEFAULT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A2xA1", "B4", "A5", "F4",
@@ -28,12 +27,7 @@ DEFAULT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A2xA1", 
 
 
 def main() -> int:
-    try:
-        return _main()
-    except MemoryError:
-        pass  # leave the handler first, so the traceback frees what the sweep held
-    print("error: out of memory", file=sys.stderr)
-    return 3
+    return guarded(_main)
 
 
 def _main() -> int:
@@ -46,14 +40,7 @@ def _main() -> int:
     failures = 0
     for type_str in args.types.split(","):
         start = time.perf_counter()
-        try:
-            report = run_sweep(type_str.strip())
-        except (DynkinError, WeylOrderCapError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2 if isinstance(exc, DynkinError) else 3
-        except (RuntimeError, AssertionError) as exc:
-            print(f"error: internal invariant failed: {exc}", file=sys.stderr)
-            return 4
+        report = run_sweep(type_str.strip())
         elapsed = time.perf_counter() - start
         if args.json:
             print(json.dumps(report.to_json_obj(), sort_keys=True))

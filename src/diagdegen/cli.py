@@ -18,7 +18,7 @@ import sys
 from typing import Callable
 
 from . import VARIANTS, degen
-from .cosets import quotient
+from .cosets import Quotient, quotient
 from .rootsys import DynkinError, RootSystem, WeylOrderCapError, build_root_system
 
 # json.encoder, tempfile, projgor, sweep and wonderful are imported by the code
@@ -207,8 +207,7 @@ def _cmd_orbits(ns) -> Rendered:
     return payload, text
 
 
-def _components_payload(rs: RootSystem, I: frozenset[int], J: frozenset[int]) -> list[dict]:
-    q = quotient(rs, I)
+def _components_payload(rs: RootSystem, q: Quotient, J: frozenset[int]) -> list[dict]:
     return [
         {
             "w": list(q.words[c.w]),
@@ -237,13 +236,15 @@ def _cmd_degen(ns) -> Rendered:
     rs = build_root_system(ns.type)
     I = _parse_subset(rs, ns.I, "I")
     J = _parse_subset(rs, ns.J, "J")
-    comps = _components_payload(rs, I, J)
+    degen.require_faithful(rs, I)  # before the walk, which may be over SIZE_CAP
+    q = quotient(rs, I)
+    comps = _components_payload(rs, q, J)
     payload = {
         "verb": "degen",
         "type": str(rs.dynkin),
         "I": sorted(I),
         "J": sorted(J),
-        "dim_x": comps[0]["dims"]["total"] if comps else 0,
+        "dim_x": q.dim_x,
         "components": comps,
     }
     head = (
@@ -256,7 +257,7 @@ def _cmd_degen(ns) -> Rendered:
 def _cmd_flagdegen(ns) -> Rendered:
     rs = build_root_system(ns.type)
     J = _parse_subset(rs, ns.J, "J")
-    comps = _components_payload(rs, frozenset(), J)
+    comps = _components_payload(rs, quotient(rs, frozenset()), J)
     payload = {
         "verb": "flagdegen",
         "type": str(rs.dynkin),
@@ -418,8 +419,19 @@ def _write_file(path: str, text: str) -> None:
 
 
 def run(argv: list[str] | None = None) -> int:
+    return guarded(lambda: _run(argv))
+
+
+def guarded(body: Callable[[], int]) -> int:
+    """Run body for its exit code; an error it raises prints one line and maps to 2, 3 or 4."""
     try:
-        return _run(argv)
+        return body()
+    except (DynkinError, UsageError, WeylOrderCapError, degen.UnfaithfulActionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, (DynkinError, UsageError)) else 3
+    except (RuntimeError, AssertionError) as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 4
     except MemoryError:
         pass  # leave the handler first, so the traceback frees what the call held
     print("error: out of memory", file=sys.stderr)
@@ -433,19 +445,9 @@ def _run(argv: list[str] | None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return code
-    try:
-        if ns.out == "":
-            raise UsageError("--out: empty path")
-        payload, text = _DISPATCH[ns.verb](ns)
-    except (DynkinError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (WeylOrderCapError, degen.UnfaithfulActionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (RuntimeError, AssertionError) as exc:
-        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
-        return 4
+    if ns.out == "":
+        raise UsageError("--out: empty path")
+    payload, text = _DISPATCH[ns.verb](ns)
     if ns.json:
         rendered = _render_json(payload) + "\n"
     else:

@@ -186,12 +186,18 @@ class QuotientData(NamedTuple):
     """The quotient W/W_I in the ids of an enumerated group, with its walk."""
 
     group: WeylGroup
-    I: frozenset[int]
     reps: tuple[int, ...]
-    dim_x: int
     walk: Quotient
     #: Bit w is set iff w is in W^I.
     rep_mask: int
+
+    @property
+    def I(self) -> frozenset[int]:
+        return self.walk.I
+
+    @property
+    def dim_x(self) -> int:
+        return self.walk.dim_x
 
     def __contains__(self, w: int) -> bool:
         return w >= 0 and (self.rep_mask >> w) & 1 == 1
@@ -199,17 +205,6 @@ class QuotientData(NamedTuple):
     def canonicalize(self, w: int) -> int:
         """The unique member of W^I in the coset w W_I, read from the left table."""
         return self.reps[self.walk.act(self.group.words[w])]
-
-    def involution_image(self, w: int) -> int:
-        """The image of w under w -> w_Delta w w_I, an involution of W^I.
-
-        w w_I is the longest element of w W_I, so w_Delta w w_I is the
-        shortest element of w_Delta w W_I.
-        """
-        if w not in self:
-            raise ValueError(f"element {w} is not a minimal representative")
-        g = self.group
-        return self.canonicalize(g.multiply(g.longest_id, w))
 
 
 def min_reps(g: WeylGroup, I: Iterable[int]) -> QuotientData:
@@ -240,8 +235,8 @@ def min_reps(g: WeylGroup, I: Iterable[int]) -> QuotientData:
         rep_mask = 0
         for w in reps:
             rep_mask |= 1 << w
-        cached = g._quotients[I] = (tuple(reps), walk.dim_x, walk, rep_mask)
-    return QuotientData(g, I, *cached)
+        cached = g._quotients[I] = (tuple(reps), walk, rep_mask)
+    return QuotientData(g, *cached)
 
 
 def double_min_reps(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> tuple[int, ...]:

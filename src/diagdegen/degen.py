@@ -32,7 +32,8 @@ class UnfaithfulActionError(ValueError):
     """Raised when I swallows a diagram component, so G does not act faithfully."""
 
 
-def _require_faithful(rs: RootSystem, I: frozenset[int]) -> None:
+def require_faithful(rs: RootSystem, I: frozenset[int]) -> None:
+    """Raise UnfaithfulActionError, naming the component, if I contains a diagram component."""
     if not rs.is_faithful(I):
         comp = next(c for c in rs.diagram_components() if c <= I)
         raise UnfaithfulActionError(
@@ -85,7 +86,7 @@ def fiber_components(g: WeylGroup, I: Iterable[int], J: Iterable[int]) -> list[F
 
 def _catalogue(rs: RootSystem, q: Quotient, J: Iterable[int]):
     J = rs.simple_subset(J)
-    _require_faithful(rs, q.I)
+    require_faithful(rs, q.I)
     w_j, phi_j = rs.longest_word(J), rs.sub_system_mask(J)
     cell_roots, lengths, dim_x = q.cell_roots, q.lengths, q.dim_x
     for w in q.double(J):
@@ -96,7 +97,7 @@ def _catalogue(rs: RootSystem, q: Quotient, J: Iterable[int]):
 def component_count(g: WeylGroup, I: Iterable[int], J: Iterable[int]) -> int:
     """Number of irreducible components over the stratum J (= |^J W^I|)."""
     I = g.rs.simple_subset(I)
-    _require_faithful(g.rs, I)
+    require_faithful(g.rs, I)
     return len(double_min_reps(g, J, I))
 
 
@@ -108,7 +109,7 @@ def closed_fiber(g: WeylGroup, I: Iterable[int]) -> list[tuple[int, int]]:
     compared.
     """
     I = g.rs.simple_subset(I)
-    _require_faithful(g.rs, I)
+    require_faithful(g.rs, I)
     return [(w, w) for w in min_reps(g, I).reps]
 
 

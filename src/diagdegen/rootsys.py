@@ -97,6 +97,11 @@ class DynkinType(_DynkinFields):
     def rank(self) -> int:
         return sum(rank for _, rank in self.components)
 
+    @property
+    def n_roots(self) -> int:
+        """|Phi| = 2 * sum(d - 1) over the degrees: each d - 1 is an exponent."""
+        return 2 * sum(d - 1 for family, rank in self.components for d in _degrees(family, rank))
+
     def weyl_order(self, cap: int | None = None) -> int:
         """Order of the Weyl group, multiplied out from the degrees.
 
@@ -414,15 +419,13 @@ def build_root_system(t: DynkinType | str) -> RootSystem:
     """Build the root system of a Dynkin type by reflection closure.
 
     Types over ``ROOT_CAP`` roots are refused first (by the rank, then by
-    2 * sum(d - 1)); the generated roots are cross-checked for the sign
-    dichotomy.  The closure's images s_i(r) become ``RootSystem.reflections``.
+    ``DynkinType.n_roots``); the generated roots are cross-checked for the
+    sign dichotomy.  The closure's images s_i(r) become ``RootSystem.reflections``.
     """
     if isinstance(t, str):
         t = parse_dynkin(t)
     rank = t.rank
-    if rank > ROOT_CAP // 2 or 2 * sum(
-        d - 1 for family, n in t.components for d in _degrees(family, n)
-    ) > ROOT_CAP:
+    if rank > ROOT_CAP // 2 or t.n_roots > ROOT_CAP:
         raise WeylOrderCapError(f"{t}: number of roots exceeds cap {ROOT_CAP}")
     cartan = _block_diagonal([_component_cartan(f, n) for f, n in t.components])
 

@@ -48,7 +48,7 @@ class WeylGroup:
         self._left_table: list[tuple[int, ...]] | None = None
         self._bruhat_rows: list[int] | None = None
         self._bruhat_up_rows: list[int] | None = None
-        #: ``(reps, dim_x, walk, rep_mask)`` of W^I per I, filled by ``min_reps``.
+        #: ``(reps, walk, rep_mask)`` of W^I per I, filled by ``min_reps``.
         self._quotients: dict[frozenset[int], tuple] = {}
 
     @property

@@ -3,10 +3,10 @@
 The compactification of a semisimple adjoint group G carries exactly one
 G x G orbit per subset J of the simple roots, ordered by inclusion: J =
 Delta is the open orbit (G itself), J = empty the closed one.  Each
-descriptor below records the parabolic/Levi root data attached to J and
-the dimension bookkeeping dim O_J = dim G - rank + |J|, derived from the
-stabilizer: unipotent radicals of an opposite parabolic pair extended by
-diag(L_J) and two copies of the center of L_J.
+descriptor below records the Levi type attached to J and the dimension
+bookkeeping dim O_J = dim G - rank + |J|, derived from the stabilizer:
+unipotent radicals of an opposite parabolic pair extended by diag(L_J)
+and two copies of the center of L_J.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from .rootsys import SIZE_CAP, DynkinType, RootSystem, WeylOrderCapError, all_su
 
 
 class OrbitDescriptor(NamedTuple):
-    """One boundary orbit O_J with its parabolic, Levi and dimension data."""
+    """One boundary orbit O_J with its Levi type and dimension data."""
 
     J: frozenset[int]
-    parabolic_roots: frozenset[int]
-    levi_roots: frozenset[int]
     levi_type: DynkinType
     unipotent_count: int
     stab_dim: int
@@ -34,19 +32,18 @@ def orbit(rs: RootSystem, J: Iterable[int]) -> OrbitDescriptor:
     The Levi roots are Phi_J and the parabolic adds every positive root.
     Since a root's coordinates share one sign, these are the roots that
     pair to 0 and to >= 0 with the cocharacter that is 0 on J, 1 off J.
+    Only |Phi_J| enters the dimensions; it is read from the Levi type.
     """
     J = rs.simple_subset(J)
-    levi = rs.sub_system(J)
-    parabolic = levi.union(rs.positive_indices())
-    unipotent = rs.n_positive - len(levi) // 2
+    levi_type = rs.subdiagram_type(J)
+    n_levi = levi_type.n_roots
+    unipotent = rs.n_positive - n_levi // 2
     dim_g = rs.n_roots + rs.rank
     # unipotent radicals of P_J- x P_J, then diag(L_J) (C_J x C_J)
-    stab = 2 * unipotent + (len(levi) + rs.rank) + (rs.rank - len(J))
+    stab = 2 * unipotent + (n_levi + rs.rank) + (rs.rank - len(J))
     return OrbitDescriptor(
         J=J,
-        parabolic_roots=parabolic,
-        levi_roots=levi,
-        levi_type=rs.subdiagram_type(J),
+        levi_type=levi_type,
         unipotent_count=unipotent,
         stab_dim=stab,
         orbit_dim=2 * dim_g - stab,

@@ -92,6 +92,18 @@ def test_unfaithful_I_exits_3(capsys):
     assert "not faithful" in err
 
 
+@pytest.mark.parametrize("type_str", ["A1xE6", "A1xE7"])
+def test_unfaithful_I_is_refused_before_the_walk(monkeypatch, capsys, type_str):
+    # |W^I| is 51 840 for A1xE6 and over SIZE_CAP for A1xE7: neither is walked
+    def walk(*args):
+        raise AssertionError("the walk of W^I started for an unfaithful I")
+
+    monkeypatch.setattr(cli, "quotient", walk)
+    code, out, err = run_capture(capsys, ["degen", type_str, "--I", "1", "--J", "1"])
+    assert (code, out) == (3, "")
+    assert err == "error: I is not faithful: it contains the diagram component [1]\n"
+
+
 def test_rank_cap_exits_3(capsys):
     code, _, err = run_capture(capsys, ["sweep", "E7"])
     assert code == 3
@@ -178,6 +190,19 @@ def test_run_sweep_script_reports_out_of_memory_as_exit_3(monkeypatch, capsys):
     code = module.main()
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (3, "", "error: out of memory\n")
+
+
+def test_bench_layers_script_measures_a2(monkeypatch):
+    # No CI step runs the script; it patches cli._DISPATCH and times cli.run.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_layers.py")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src
+    spec = importlib.util.spec_from_file_location("bench_layers_script", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    row = module.measure("A2")
+    assert row["reps"] == 6
+    assert all(row[k] > 0 for k in ("quotient", "components", "json", "text"))
+    assert cli._DISPATCH["flagdegen"] is cli._cmd_flagdegen
 
 
 def test_out_of_memory_exits_3_in_one_line():

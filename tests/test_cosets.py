@@ -112,33 +112,6 @@ def test_double_min_reps_inversion_exchange(type_str, groups):
             assert lhs == rhs
 
 
-def test_involution_image_examples(groups):
-    g = groups("A2")
-    q = min_reps(g, {2})
-    image = q.involution_image(0)
-    assert image == from_word(g, (2, 1))  # w_Delta w_I, canonical member of W^I
-    for w in q.reps:
-        assert q.involution_image(q.involution_image(w)) == w
-    q0 = min_reps(g, ())
-    assert q0.involution_image(0) == g.longest_id
-
-
-def test_involution_image_rejects_non_reps(groups):
-    g = groups("A2")
-    q = min_reps(g, {2})
-    with pytest.raises(ValueError):
-        q.involution_image(g.simple(2))
-
-
-@pytest.mark.parametrize("type_str", SMALL_TYPES)
-def test_involution_preserves_reps(type_str, groups):
-    g = groups(type_str)
-    for I in all_subsets(g.rs.rank):
-        q = min_reps(g, I)
-        for w in q.reps:
-            assert q.involution_image(w) in q
-
-
 def test_cell_dims_examples(groups):
     g = groups("A2")
     q = min_reps(g, {2})

@@ -95,6 +95,15 @@ def test_root_cap_admits_256_roots():
     assert build_root_system("A15").n_roots == 240
 
 
+@pytest.mark.parametrize("type_str", [
+    "A1", "A2", "A5", "A15", "B2", "B3", "B7", "C3", "C6", "D4", "D5", "D9", "E6", "E7", "E8",
+    "F4", "G2", "A2xA1", "B2xA1", "G2xA1", "B3xC3", "A1xE7", "A2xA2xA2", "D4xG2xA1",
+])
+def test_degree_formula_counts_the_closure(type_str):
+    # DynkinType.n_roots, 2 * sum(d - 1), against the roots the reflection closure finds
+    assert parse_dynkin(type_str).n_roots == build_root_system(type_str).n_roots
+
+
 def test_a2_roots():
     rs = build_root_system("A2")
     assert rs.n_roots == 6
@@ -205,7 +214,7 @@ def test_sub_system():
 @pytest.mark.parametrize("type_str", SWEEP_TYPES)
 def test_lambda_pairing_sign(type_str):
     # the cocharacter that is 0 on J, 1 off J vanishes on Phi_J and is positive
-    # on every other positive root: why wonderful.orbit reads Levi roots from sub_system
+    # on every other positive root: the lemma in wonderful.orbit's docstring
     rs = build_root_system(type_str)
     for J in all_subsets(rs.rank):
         phi_j = rs.sub_system(J)

@@ -17,7 +17,7 @@ def test_a1_closed_orbit():
     rs = build_root_system("A1")
     o = orbit(rs, ())
     assert o.orbit_dim == 2  # G/B x G/B for PGL(2)
-    assert o.levi_roots == frozenset()
+    assert str(o.levi_type) == ""
     assert o.unipotent_count == 1
 
 
@@ -40,16 +40,18 @@ def test_orbit_lattice_dims(type_str, dims):
 
 @pytest.mark.parametrize("type_str", SWEEP_TYPES + ["E6"])
 def test_orbit_roots_are_the_lambda_pairing_sets(type_str):
-    # reference: pair each root with the cocharacter that is 0 on J, 1 off J
+    # the lemma of orbit's docstring: pair each root with the cocharacter
+    # that is 0 on J, 1 off J
     rs = build_root_system(type_str)
+    positives = set(rs.positive_indices())
     for J in all_subsets(rs.rank):
         pairing = [
             sum(c for j, c in enumerate(rs.coords(r), 1) if j not in J)
             for r in range(rs.n_roots)
         ]
-        o = orbit(rs, J)
-        assert o.parabolic_roots == {r for r, p in enumerate(pairing) if p >= 0}
-        assert o.levi_roots == {r for r, p in enumerate(pairing) if p == 0}
+        levi = rs.sub_system(J)
+        assert levi == {r for r, p in enumerate(pairing) if p == 0}
+        assert positives | levi == {r for r, p in enumerate(pairing) if p >= 0}
 
 
 @pytest.mark.parametrize("type_str", SWEEP_TYPES)
@@ -72,17 +74,20 @@ def test_orbit_lattice_shape(type_str):
     assert len(divisors) == rs.rank
 
 
-@pytest.mark.parametrize("type_str", SWEEP_TYPES)
+@pytest.mark.parametrize("type_str", SWEEP_TYPES + ["E6", "E7", "E8", "B3xC3", "G2xA1"])
 def test_parabolic_and_levi_roots(type_str):
+    # |Phi_J| from the degrees of the Levi type against the roots supported on J
     rs = build_root_system(type_str)
     for J in all_subsets(rs.rank):
         o = orbit(rs, J)
-        positives = set(rs.positive_indices())
-        assert positives <= o.parabolic_roots
-        opposite = {rs.neg(r) for r in o.parabolic_roots}
-        assert o.parabolic_roots & opposite == o.levi_roots
-        assert o.levi_roots == rs.sub_system(J)
-        assert o.unipotent_count == rs.n_positive - len(o.levi_roots) // 2
+        assert o.unipotent_count == rs.n_positive - len(rs.sub_system(J)) // 2
+
+
+@pytest.mark.parametrize("type_str", ["A3", "E6"])
+def test_orbit_lattice_lists_no_roots(type_str):
+    rs = build_root_system(type_str)
+    orbit_lattice(rs)
+    assert rs._sub_systems == {}
 
 
 def test_levi_types_product():
