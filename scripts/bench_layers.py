@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the layers of the full-flag catalogue in process and record them.
+"""Time the layers of the full-flag catalogue and the sweep in process, and record them.
 
 For the full flag (I empty) of each type below, and for the call
 ``flagdegen T --J 1``, this times the median of REPEATS runs of each layer:
@@ -9,7 +9,9 @@ For the full flag (I empty) of each type below, and for the call
 * ``json``: ``cli.run`` of the call with ``--json``, its handler's result
   computed beforehand, so it times argument parsing (about a millisecond)
   and rendering; output goes to a sink that discards it;
-* ``text``: the same without ``--json``.
+* ``text``: the same without ``--json``;
+* ``sweep``: ``sweep.run_sweep(T)``, every check over every faithful I
+  and every J, or null for a type over ``sweep.ORDER_CAP`` (E6).
 
 It imports ``diagdegen`` from the ``src`` of the checkout it sits in, and
 writes ``BENCH_<label>.json`` at that checkout's root, with the Python
@@ -37,6 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from diagdegen import cli, degen  # noqa: E402
 from diagdegen.cosets import quotient  # noqa: E402
 from diagdegen.rootsys import build_root_system  # noqa: E402
+from diagdegen.sweep import ORDER_CAP, run_sweep  # noqa: E402
 
 TYPES = ["A5", "A6", "B4", "B5", "D5", "F4", "E6"]
 REPEATS = 5
@@ -79,6 +82,8 @@ def measure(type_str: str) -> dict:
         "components": _median_time(lambda: degen.components(rs, q, {1})),
         "json": _render_time(argv + ["--json"]),
         "text": _render_time(argv),
+        "sweep": (_median_time(lambda: run_sweep(type_str))
+                  if rs.dynkin.weyl_order() <= ORDER_CAP else None),
     }
 
 
@@ -112,8 +117,8 @@ def main() -> int:
     for type_str in TYPES:
         layers[type_str] = row = measure(type_str)
         print(f"{type_str:<4} |W| {row['reps']:>6}  " + "  ".join(
-            f"{k} {row[k]:.4f}s" for k in ("quotient", "components", "json", "text")),
-            flush=True)
+            f"{k} {'-' if row[k] is None else f'{row[k]:.4f}s'}"
+            for k in ("quotient", "components", "json", "text", "sweep")), flush=True)
     status = _git("status", "--porcelain", "--", "src")
     record = {
         "label": args.label,
@@ -124,7 +129,7 @@ def main() -> int:
         "repeats": REPEATS,
         "statistic": "median",
         "unit": "s",
-        "call": "flagdegen T --J 1 (full flag, I empty)",
+        "call": "flagdegen T --J 1 (full flag, I empty); sweep T",
         "layers": layers,
     }
     out = ROOT / f"BENCH_{args.label}.json"

@@ -20,10 +20,12 @@ tests.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .rootsys import SIZE_CAP, RootSystem, WeylOrderCapError
-from .weyl import WeylGroup
+
+if TYPE_CHECKING:
+    from .weyl import WeylGroup
 
 
 class Quotient(NamedTuple):

@@ -21,11 +21,13 @@ gives back the diagonal as a single component.
 from __future__ import annotations
 
 from itertools import compress, count, product
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .cosets import Quotient, double_min_reps, min_reps
 from .rootsys import RootSystem
-from .weyl import WeylGroup
+
+if TYPE_CHECKING:
+    from .weyl import WeylGroup
 
 
 class UnfaithfulActionError(ValueError):
@@ -104,9 +106,11 @@ def component_count(g: WeylGroup, I: Iterable[int], J: Iterable[int]) -> int:
 def closed_fiber(g: WeylGroup, I: Iterable[int]) -> list[tuple[int, int]]:
     """Schubert pairs (X-_w, X_w) of the total degeneration, built directly.
 
-    This is the closed-stratum formula union of X-_w x X_w over W^I; it is
-    kept independent of :func:`fiber_components` so the two routes can be
-    compared.
+    This is the closed-stratum formula, the union of X-_w x X_w over W^I.
+    It reads the same walk of ``min_reps(g, I)`` as :func:`fiber_components`,
+    so it is no independent check of it; the sweep's independent route to
+    the closed fiber is ``oracles.coset_min_reps``, which labels W/W_I by
+    generator closure in W.
     """
     I = g.rs.simple_subset(I)
     require_faithful(g.rs, I)

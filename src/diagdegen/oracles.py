@@ -1,12 +1,18 @@
 """Brute-force reference implementations for differential testing.
 
 Everything here recomputes a quantity by a route independent of the
-production code path: cosets labelled by generator closure in W instead
-of the walk's positivity filters, reflection-cover closure instead of
-subword tests, the concrete e_i - e_j model instead of Cartan-matrix
-closure, one-line permutations instead of root permutations.  The test suite and the ``sweep`` command
-compare production outputs against these; none of them sits on a
-production computation path.
+production code path, which walks W^I (:func:`diagdegen.cosets.quotient`):
+
+* cosets and double cosets by generator closure in W (``coset_min_reps``,
+  ``double_cosets``), instead of the walk's positivity filters;
+* the double-coset counts of every J from the weight orbit W·lambda_I
+  (``double_coset_counts``), which needs no W;
+* Bruhat order by reflection-cover closure instead of subword tests;
+* the concrete e_i - e_j model instead of Cartan-matrix closure, and
+  one-line permutations instead of root permutations.
+
+The test suite and the ``sweep`` command compare production outputs
+against these; none of them sits on a production computation path.
 """
 
 from __future__ import annotations
@@ -54,15 +60,21 @@ def subgroup_ids(g: WeylGroup, I: Iterable[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
-def _coset_labels(g: WeylGroup, I: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Label every element by its coset w W_I, closing the right table under I.
+def _coset_labels(g: WeylGroup, I: Iterable[int],
+                  J: Iterable[int] = ()) -> tuple[list[int], list[int]]:
+    """Label every element by its double coset W_J w W_I, closing each seed on both sides.
 
-    Returns the label of each id and the least id of each label.  Labels
-    are numbered by their least ids, and ids are sorted by length, so the
-    least id of a coset is its minimal representative.
+    The moves are w -> w s_i for i in I, read in the right table, and
+    w -> s_j w = (w^-1 s_j)^-1 for j in J, read in the right table through
+    the inverses; with J empty the labels are the cosets w W_I.  Returns
+    the label of each id and the least id of each label.  Labels are
+    numbered by their least ids, and ids are sorted by length, so the
+    least id of a block is its minimal representative.
     """
-    right = [i - 1 for i in sorted(g.rs.simple_subset(I))]
-    gen_table = g.gen_table
+    rs = g.rs
+    right = [i - 1 for i in sorted(rs.simple_subset(I))]
+    left = [j - 1 for j in sorted(rs.simple_subset(J))]
+    gen_table, inverse = g.gen_table, g.inverse
     label = [-1] * g.order
     least: list[int] = []
     for seed in range(g.order):
@@ -72,45 +84,19 @@ def _coset_labels(g: WeylGroup, I: Iterable[int]) -> tuple[list[int], list[int]]
         least.append(seed)
         stack = [seed]
         while stack:
-            row = gen_table[stack.pop()]
+            w = stack.pop()
+            row = gen_table[w]
             for i in right:
                 v = row[i]
                 if label[v] < 0:
                     label[v] = c
                     stack.append(v)
-    return label, least
-
-
-def _left_action(g: WeylGroup, I: Iterable[int]) -> tuple[list[int], list[list[int]]]:
-    """Coset labels of W/W_I, and left multiplication on them.
-
-    s_j (w W_I) = (s_j w) W_I, so row c of the action holds the labels of
-    s_1 u, ..., s_rank u for the least element u of coset c.
-    """
-    label, least = _coset_labels(g, I)
-    left_table = g.left_table()
-    return label, [[label[v] for v in left_table[u]] for u in least]
-
-
-def _orbits(g: WeylGroup, act: list[list[int]], J: Iterable[int]) -> list[list[int]]:
-    """Orbits of W_J on the coset labels, by closure under the s_j, j in J."""
-    left = [j - 1 for j in sorted(g.rs.simple_subset(J))]
-    seen = [False] * len(act)
-    out = []
-    for c in range(len(act)):
-        if seen[c]:
-            continue
-        seen[c] = True
-        orbit = [c]
-        for d in orbit:  # grows while it is walked
-            row = act[d]
             for j in left:
-                e = row[j]
-                if not seen[e]:
-                    seen[e] = True
-                    orbit.append(e)
-        out.append(orbit)
-    return out
+                v = inverse(gen_table[inverse(w)][j])
+                if label[v] < 0:
+                    label[v] = c
+                    stack.append(v)
+    return label, least
 
 
 def coset_min_reps(g: WeylGroup, I: Iterable[int]) -> tuple[int, ...]:
@@ -119,18 +105,34 @@ def coset_min_reps(g: WeylGroup, I: Iterable[int]) -> tuple[int, ...]:
 
 
 def double_cosets(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> list[frozenset[int]]:
-    """The partition of W into double cosets W_J w W_I: unions of W_J-orbits of cosets."""
-    label, act = _left_action(g, I)
-    members: list[list[int]] = [[] for _ in act]
+    """The partition of W into double cosets W_J w W_I, by two-sided closure in W."""
+    label, least = _coset_labels(g, I, J)
+    members: list[list[int]] = [[] for _ in least]
     for w, c in enumerate(label):
         members[c].append(w)
-    return [frozenset(w for c in orbit for w in members[c]) for orbit in _orbits(g, act, J)]
+    return [frozenset(block) for block in members]
 
 
-def double_coset_counts(g: WeylGroup, I: Iterable[int]) -> dict[frozenset[int], int]:
-    """|W_J\\W/W_I| for every J, from one labelling of the cosets of W_I."""
-    _, act = _left_action(g, I)
-    return {J: len(_orbits(g, act, J)) for J in all_subsets(g.rs.rank)}
+def double_coset_counts(rs: RootSystem, I: Iterable[int]) -> dict[frozenset[int], int]:
+    """|W_J\\W/W_I| for every J, from the J-dominant weights of W·lambda_I.
+
+    Each W_J-orbit in W·lambda_I holds exactly one J-dominant weight
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.12), so the count
+    for J is the number of weights negative on no simple root of J.  The
+    weights are tallied by the mask of their negative coordinates, and one
+    subset-sum pass turns the tally at a mask m into the number of weights
+    whose mask lies inside m; the count for J is read at the complement of J.
+    """
+    full = (1 << rs.rank) - 1
+    tally = [0] * (full + 1)
+    for mu in weight_orbit(rs, I):
+        tally[sum(1 << j for j, c in enumerate(mu) if c < 0)] += 1
+    for j in range(rs.rank):
+        bit = 1 << j
+        for m in range(full + 1):
+            if m & bit:
+                tally[m] += tally[m ^ bit]
+    return {J: tally[full ^ sum(1 << (j - 1) for j in J)] for J in all_subsets(rs.rank)}
 
 
 def double_coset_min_reps(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> tuple[int, ...]:

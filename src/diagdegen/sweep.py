@@ -86,10 +86,11 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
     """Run every degeneration invariant check for one Dynkin type.
 
     Each faithful I is walked once (``min_reps``), and each J is
-    catalogued on that walk.  The oracle counts the double cosets of every
-    J from one labelling of W/W_I (``oracles.double_coset_counts``); only
-    the closed fiber (J empty) is mapped to group ids, to compare it with
-    ``oracles.coset_min_reps``.
+    catalogued on that walk.  The component counts of every J are checked
+    against the J-dominant weights of the orbit W·lambda_I
+    (``oracles.double_coset_counts``), which reads no table of W; only the
+    closed fiber (J empty) is mapped to group ids, to compare it with
+    ``oracles.coset_min_reps``, the one labelling of W/W_I per I.
 
     Types whose Weyl group has more than ``ORDER_CAP`` elements are refused
     with ``WeylOrderCapError`` before the root system is built.
@@ -114,7 +115,7 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
         q = min_reps(g, I)
         walk, reps, dim_x = q.walk, q.reps, q.dim_x
         payload_i = sorted(I)
-        oracle_counts = oracles.double_coset_counts(g, I)
+        oracle_counts = oracles.double_coset_counts(rs, I)
 
         counts_by_j: dict[frozenset[int], int] = {}
         for J in subsets:

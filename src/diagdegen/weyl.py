@@ -15,11 +15,12 @@ recursion on the stored words; callers that read it bound |W|
 themselves (``sweep`` refuses groups over 10 000 elements).  The
 independent reflection-cover oracle lives in :mod:`diagdegen.oracles`.
 
-Derived tables (inverses, left multiplication, the Bruhat matrix, and the
-quotient data of :func:`diagdegen.cosets.min_reps` per ``I``) are built
-lazily on first use and hold plain ids and tuples only, never a reference
-back to the group, so dropping the last reference to a group frees it at
-once.
+Derived tables (inverses, the Bruhat matrix, and the quotient data of
+:func:`diagdegen.cosets.min_reps` per ``I``) are built lazily on first use
+and hold plain ids and tuples only, never a reference back to the group,
+so dropping the last reference to a group frees it at once.  There is no
+left multiplication table: s_j w is (w^-1 s_j)^-1, one lookup in the
+right table between two inverses.
 
 Only the ``sweep`` verb, the Bruhat order and the oracles enumerate W.
 The catalogue verbs walk W^I with :func:`diagdegen.cosets.quotient`, and
@@ -45,7 +46,6 @@ class WeylGroup:
         self.index = index
         self.longest_id = len(perms) - 1
         self._inverses: list[int] | None = None
-        self._left_table: list[tuple[int, ...]] | None = None
         self._bruhat_rows: list[int] | None = None
         self._bruhat_up_rows: list[int] | None = None
         #: ``(reps, walk, rep_mask)`` of W^I per I, filled by ``min_reps``.
@@ -75,19 +75,6 @@ class WeylGroup:
             self._inverses = [index[bytes(sorted(roots, key=p.__getitem__))]
                               for p in self.perms]
         return self._inverses
-
-    def left_table(self) -> list[tuple[int, ...]]:
-        """Left multiplication: entry ``[w][i - 1]`` is the id of s_i * w.
-
-        Derived from the right table as s_i w = (w^-1 s_i)^-1 on first use.
-        """
-        if self._left_table is None:
-            inv = self._inverse_table()
-            gen_table = self.gen_table
-            self._left_table = [
-                tuple(inv[v] for v in gen_table[inv[w]]) for w in range(self.order)
-            ]
-        return self._left_table
 
     def act(self, w: int, r: int) -> int:
         """Image root index of root r under the element w."""

@@ -201,7 +201,7 @@ def test_bench_layers_script_measures_a2(monkeypatch):
     spec.loader.exec_module(module)
     row = module.measure("A2")
     assert row["reps"] == 6
-    assert all(row[k] > 0 for k in ("quotient", "components", "json", "text"))
+    assert all(row[k] > 0 for k in ("quotient", "components", "json", "text", "sweep"))
     assert cli._DISPATCH["flagdegen"] is cli._cmd_flagdegen
 
 
@@ -396,8 +396,8 @@ def test_help_exits_0(capsys):
 
 def _break_sweep_oracles(monkeypatch):
     """Make the count oracle and the fixed-point check disagree with the catalogue."""
-    def wrong_counts(g, I):
-        return {J: n + 1 for J, n in real_counts(g, I).items()}
+    def wrong_counts(rs, I):
+        return {J: n + 1 for J, n in real_counts(rs, I).items()}
 
     real_counts = oracles.double_coset_counts
     monkeypatch.setattr(oracles, "double_coset_counts", wrong_counts)

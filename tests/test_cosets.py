@@ -87,13 +87,13 @@ def test_double_min_reps_against_bruteforce(type_str, groups):
 
 @pytest.mark.parametrize("type_str", SWEEP_TYPES + ["F4", "A2xA1"])
 def test_double_coset_counts_match_each_route(type_str, groups):
-    # one labelling of W/W_I serves every J: the counts, the partition and
-    # the coset representatives all agree with the walk
+    # three independent routes to |W_J\W/W_I|: the J-dominant weights of the
+    # weight orbit, the two-sided closure in W and the walk of W^I
     g = groups(type_str)
     subsets = all_subsets(g.rs.rank)
     for I in faithful_subsets(g.rs):
         assert coset_min_reps(g, I) == min_reps(g, I).reps
-        counts = double_coset_counts(g, I)
+        counts = double_coset_counts(g.rs, I)
         assert list(counts) == subsets
         for J in subsets:
             blocks = double_cosets(g, J, I)
@@ -282,15 +282,9 @@ def test_walk_matches_weight_orbit_on_e_types(type_str, I):
     q = quotient(rs, I)
     orbit = weight_orbit(rs, I)
     assert sorted(orbit.values()) == list(q.lengths)
-    # Bit j - 1 of a weight's mask is set iff it is not dominant for s_j.
-    masks = {}
-    for mu in orbit:
-        m = sum(1 << j for j, c in enumerate(mu) if c < 0)
-        masks[m] = masks.get(m, 0) + 1
+    counts = double_coset_counts(rs, I)
     for J in all_subsets(rs.rank):
-        j_mask = sum(1 << (j - 1) for j in J)
-        dominant = sum(n for m, n in masks.items() if not m & j_mask)
-        assert len(q.double(J)) == dominant
+        assert len(q.double(J)) == counts[J]
 
 
 def test_weight_orbit_counts():

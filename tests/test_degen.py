@@ -14,7 +14,7 @@ from diagdegen import (
     min_reps,
     weight_set,
 )
-from diagdegen import cosets, degen
+from diagdegen import cosets, degen, oracles
 from diagdegen.sweep import run_sweep
 
 
@@ -183,6 +183,20 @@ def test_sweep_closed_fiber_check_catches_swapped_dimensions(monkeypatch):
     checks = {c.name: c for c in report.checks}
     assert checks["closed-fiber formula"].failures
     assert checks["equidimensionality"].ok
+
+
+def test_sweep_labels_the_cosets_of_each_I_once(monkeypatch):
+    # The counts come from the weight orbit; only coset_min_reps labels W/W_I.
+    calls = []
+    real = oracles._coset_labels
+
+    def counted(g, I, *J):
+        calls.append(frozenset(I))
+        return real(g, I, *J)
+
+    monkeypatch.setattr(oracles, "_coset_labels", counted)
+    report = run_sweep("B3")
+    assert len(calls) == len(set(calls)) == report.faithful_subsets == 7
 
 
 def test_full_flag_fiber_examples(groups):

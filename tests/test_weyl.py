@@ -283,15 +283,6 @@ def test_word_products_respect_length_parity(groups, type_str, letters):
     assert g.lengths[w] % 2 == len(word) % 2
 
 
-@pytest.mark.parametrize("type_str", ["A3", "B3", "G2", "B2xA1"])
-def test_left_table_matches_multiply(type_str, groups):
-    g = groups(type_str)
-    left = g.left_table()
-    for w in range(g.order):
-        for i in range(1, g.rs.rank + 1):
-            assert left[w][i - 1] == g.multiply(g.simple(i), w)
-
-
 def test_filled_caches_hold_no_reference_cycle():
     # Without the collector, only reference counting can free the group:
     # any cycle through a cache would keep it alive.
@@ -301,13 +292,13 @@ def test_filled_caches_hold_no_reference_cycle():
         q = min_reps(g, {2, 3})
         double_min_reps(g, {1}, {2, 3})
         g.rs.sub_system({2, 3})
-        g.left_table()
+        g.inverse(g.longest_id)
         g.bruhat_up_rows()
         # the walk, its id map and the W^I bitmask, for a second I
         fiber_components(g, {3}, {1, 2})
         fixed_point_profile(g, {3}, g.simple(1))
         q.canonicalize(g.longest_id)
-        assert len(g._quotients) == 2 and g.rs._sub_systems and g._left_table
+        assert len(g._quotients) == 2 and g.rs._sub_systems and g._inverses
         ref = weakref.ref(g)
         del g, q
         assert ref() is None
