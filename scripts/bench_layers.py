@@ -13,6 +13,12 @@ For the full flag (I empty) of each type below, and for the call
 * ``sweep``: ``sweep.run_sweep(T)``, every check over every faithful I
   and every J, or null for a type over ``sweep.ORDER_CAP`` (E6).
 
+No printed word of a full flag has a prefix off W^I, so it also times
+the walk of the maximal parabolic quotients in QUOTIENTS, where many
+printed words do.  For each it records
+``reps`` (|W^I|), ``quotient`` (the median of REPEATS walks) and
+``peak_bytes`` (the ``tracemalloc`` peak of one more, untimed walk).
+
 It imports ``diagdegen`` from the ``src`` of the checkout it sits in, and
 writes ``BENCH_<label>.json`` at that checkout's root, with the Python
 version, the git commit, the host and the figures in seconds.  To measure
@@ -30,6 +36,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -43,6 +50,14 @@ from diagdegen.sweep import ORDER_CAP, run_sweep  # noqa: E402
 
 TYPES = ["A5", "A6", "B4", "B5", "D5", "F4", "E6"]
 REPEATS = 5
+# (type, I): E6, E7 and E8 with one node of the diagram removed from Delta.
+QUOTIENTS = [
+    ("E6", (2, 3, 4, 5, 6)),
+    ("E7", (1, 2, 3, 4, 5, 6)),
+    ("E8", (1, 2, 3, 4, 5, 6, 7)),
+    ("E8", (2, 3, 4, 5, 6, 7, 8)),
+    ("E8", (1, 3, 4, 5, 6, 7, 8)),
+]
 
 
 class _Sink:
@@ -87,6 +102,17 @@ def measure(type_str: str) -> dict:
     }
 
 
+def measure_quotient(type_str: str, I: tuple[int, ...]) -> dict:
+    rs = build_root_system(type_str)
+    tracemalloc.start()
+    try:
+        reps = len(quotient(rs, I).lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"reps": reps, "quotient": _median_time(lambda: quotient(rs, I)), "peak_bytes": peak}
+
+
 def _cpu() -> str | None:
     try:
         with open("/proc/cpuinfo") as fh:
@@ -119,6 +145,12 @@ def main() -> int:
         print(f"{type_str:<4} |W| {row['reps']:>6}  " + "  ".join(
             f"{k} {'-' if row[k] is None else f'{row[k]:.4f}s'}"
             for k in ("quotient", "components", "json", "text", "sweep")), flush=True)
+    quotients = {}
+    for type_str, I in QUOTIENTS:
+        key = f"{type_str} I={','.join(map(str, I))}"
+        quotients[key] = row = measure_quotient(type_str, I)
+        print(f"{key:<18} |W^I| {row['reps']:>6}  quotient {row['quotient']:.4f}s  "
+              f"peak {row['peak_bytes'] / 1e6:.1f} MB", flush=True)
     status = _git("status", "--porcelain", "--", "src")
     record = {
         "label": args.label,
@@ -131,6 +163,7 @@ def main() -> int:
         "unit": "s",
         "call": "flagdegen T --J 1 (full flag, I empty); sweep T",
         "layers": layers,
+        "quotients": quotients,
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

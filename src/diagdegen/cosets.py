@@ -33,7 +33,8 @@ class Quotient(NamedTuple):
 
     Entries are sorted as the ids of :func:`diagdegen.weyl.generate` sort
     (by length, then by lexicographically least reduced word).  ``words``
-    holds the reduced word that ``WeylGroup.reduced_word`` prints.
+    holds the reduced word that ``WeylGroup.reduced_word`` prints: the
+    colex-least one, which strips the smallest right descent at each step.
     ``left[k][a - 1]`` is the entry of the coset s_a w_k W_I, which is
     either s_a w_k or w_k itself.  Bit r of ``cell_roots[k]`` is set iff
     w_k^-1 sends root r to a negative root off Phi_I; its positive bits
@@ -83,6 +84,14 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
     word of w starts with its smallest left descent, so visiting each layer
     letter by letter and then in order assigns entries in id order.
 
+    The printed word is the colex-least reduced word (compared from the
+    right; its last letter is the smallest right descent, and so on).  Every
+    reduced word of v is a left descent a followed by a reduced word of s_a v,
+    and s_a v lies in W^I one layer down.  So the printed word of v is
+    (a,) + words[s_a v] for the left descent a whose entry's word is least
+    read from the right, and the walk meets exactly those pairs (a, s_a v)
+    when it reaches v: no word is built outside W^I.
+
     A permutation is a byte string, byte r holding w(r): s_a w is one
     ``bytes.translate`` through the table of s_a (``ROOT_CAP`` is 256).
     A quotient over ``SIZE_CAP`` is refused before anything is allocated.
@@ -99,7 +108,6 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
     simple = [rs.simple_index(a) for a in range(1, rank + 1)]
     pad = bytes(range(n, 256))
     lmul = [sa + pad for sa in rs.reflections]  # translate tables: p.translate(lmul[a]) = s_a p
-    rmul = [itemgetter(*sa) for sa in rs.reflections]  # bytes(rmul[d](p)) = p s_d
     phi_i = rs.sub_system(I)
     off_neg = [b for b in range(n_pos, n) if b not in phi_i]
     dim_x = len(off_neg)
@@ -111,32 +119,12 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
 
     identity = bytes(range(n))
     index = {identity: 0}  # root permutation of w_k -> k, over all of W^I
-    off: dict[bytes, tuple[int, ...]] = {}  # words of prefixes off W^I
-
-    def word_of(p: bytes) -> tuple[int, ...]:
-        # Strip the smallest right descent (w(alpha_d) < 0) until a known word.
-        chain = []
-        while True:
-            k = index.get(p)
-            if k is not None:
-                out = words[k]
-                break
-            out = off.get(p)
-            if out is not None:
-                break
-            d = next(d for d in range(rank) if p[simple[d]] >= n_pos)
-            chain.append((p, d + 1))
-            p = bytes(rmul[d](p))
-        for p, d in reversed(chain):
-            out = out + (d,)
-            off[p] = out
-        return out
 
     lengths = [0]
     words: list[tuple[int, ...]] = [()]
     cell_roots: list[int] = []
     left: list[tuple[int, ...]] = []
-    rows = {0: [0] * rank}  # left-table rows of the current and the next layer
+    rows = {0: [None] * rank}  # left-table rows of the current and the next layer
     layer = [identity]
     while layer:
         base = len(left)
@@ -165,15 +153,16 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
                 if j is None:
                     j = index[v] = len(lengths)
                     lengths.append(length + 1)
-                    rows[j] = [0] * rank
+                    rows[j] = [None] * rank
                     nxt.append(v)
                 rows[k][a] = j
                 rows[j][a] = k
         for k in range(base, base + len(layer)):
             left.append(tuple(rows.pop(k)))
-        for p in nxt:
-            d = next(d for d in range(rank) if p[simple[d]] >= n_pos)
-            words.append(word_of(bytes(rmul[d](p))) + (d + 1,))
+        for j in range(len(words), len(lengths)):
+            # Filled so far: rows[j][a] = k exactly for the left descents a of v_j.
+            words.append(min(((a + 1,) + words[k] for a, k in enumerate(rows[j]) if k is not None),
+                             key=lambda word: word[::-1]))
         layer = nxt
 
     if len(lengths) != expected:

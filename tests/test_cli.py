@@ -203,24 +203,41 @@ def test_bench_layers_script_measures_a2(monkeypatch):
     assert row["reps"] == 6
     assert all(row[k] > 0 for k in ("quotient", "components", "json", "text", "sweep"))
     assert cli._DISPATCH["flagdegen"] is cli._cmd_flagdegen
+    row = module.measure_quotient("A2", (2,))
+    assert row["reps"] == 3 and row["quotient"] > 0 and row["peak_bytes"] > 0
+    assert [type_str for type_str, _ in module.QUOTIENTS] == ["E6", "E7", "E8", "E8", "E8"]
 
 
-def test_out_of_memory_exits_3_in_one_line():
-    # A1^19 has 2^19 orbits, under SIZE_CAP but over a 400 MB address space.
+def _run_capped(argv, megabytes):
+    """Run ``diagdegen argv`` in a child whose address space is capped at megabytes."""
     import resource
 
-    limit = 400 * 10**6
+    limit = megabytes * 10**6
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    done = subprocess.run(
-        [sys.executable, "-m", "diagdegen.cli", "orbits", "x".join(["A1"] * 19)],
+    return subprocess.run(
+        [sys.executable, "-m", "diagdegen.cli", *argv],
         env=_child_env(), preexec_fn=cap_address_space, capture_output=True, text=True,
         timeout=120,
     )
+
+
+def test_out_of_memory_exits_3_in_one_line():
+    # A1^19 has 2^19 orbits, under SIZE_CAP but far over a 100 MB address space,
+    # which still leaves room to start up and answer a small call.
+    assert _run_capped(["roots", "A2"], 100).returncode == 0
+    done = _run_capped(["orbits", "x".join(["A1"] * 19)], 100)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "error: out of memory\n"
+
+
+def test_walk_of_e8_over_a7_fits_in_150_mb():
+    # W(E8)/W(A7): 17 280 reps, many of whose printed words have prefixes off W^I.
+    done = _run_capped(["cosets", "E8", "--I", "1,3,4,5,6,7,8"], 150)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 17282
 
 
 def test_trace_child_wraps_the_methods_the_benchmark_reads(tmp_path):

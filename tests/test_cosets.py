@@ -287,6 +287,16 @@ def test_walk_matches_weight_orbit_on_e_types(type_str, I):
         assert len(q.double(J)) == counts[J]
 
 
+def test_walk_words_match_generate_on_e6(groups):
+    # Many printed words of these quotients have prefixes off W^I.
+    g = groups("E6")
+    quotients = [param.values[1] for param in _small_e_quotients() if param.values[0] == "E6"]
+    assert len(quotients) == 26
+    for I in quotients:
+        q = min_reps(g, I)
+        assert q.walk.words == tuple(g.reduced_word(w) for w in q.reps)
+
+
 def test_weight_orbit_counts():
     assert len(_small_e_quotients()) == 35
     # The 27 lines on a cubic surface, the 56-dimensional E7 and the 240 roots of E8.
