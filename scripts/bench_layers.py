@@ -7,8 +7,8 @@ For the full flag (I empty) of each type below, and for the call
 * ``quotient``: ``cosets.quotient(rs, ())``, the walk of W;
 * ``components``: ``degen.components(rs, q, {1})`` on that walk;
 * ``json``: ``cli.run`` of the call with ``--json``, its handler's result
-  computed beforehand, so it times argument parsing (about a millisecond)
-  and rendering; output goes to a sink that discards it;
+  computed beforehand, so it times argument parsing and rendering;
+  output goes to a sink that discards it;
 * ``text``: the same without ``--json``;
 * ``sweep``: ``sweep.run_sweep(T)``, every check over every faithful I
   and every J, or null for a type over ``sweep.ORDER_CAP`` (E6).
@@ -18,6 +18,12 @@ the walk of the maximal parabolic quotients in QUOTIENTS, where many
 printed words do.  For each it records
 ``reps`` (|W^I|), ``quotient`` (the median of REPEATS walks) and
 ``peak_bytes`` (the ``tracemalloc`` peak of one more, untimed walk).
+
+Every CLI call is a fresh process, so it also records ``startup``: the
+median over STARTUP_RUNS fresh interpreters of the wall time of
+``python -c`` importing ``diagdegen.cli`` and parsing
+``flagdegen A5 --J 1 --json``, next to that of a bare ``python -c pass``,
+the two run alternately.
 
 It imports ``diagdegen`` from the ``src`` of the checkout it sits in, and
 writes ``BENCH_<label>.json`` at that checkout's root, with the Python
@@ -50,6 +56,14 @@ from diagdegen.sweep import ORDER_CAP, run_sweep  # noqa: E402
 
 TYPES = ["A5", "A6", "B4", "B5", "D5", "F4", "E6"]
 REPEATS = 5
+STARTUP_RUNS = 31
+STARTUP_ARGV = ["flagdegen", "A5", "--J", "1", "--json"]
+# The same parse as _parse, in a fresh interpreter.
+STARTUP = f"""
+import diagdegen.cli as cli
+argv = {STARTUP_ARGV!r}
+cli.parse_args(argv) if hasattr(cli, "parse_args") else cli._build_parser().parse_args(argv)
+"""
 # (type, I): E6, E7 and E8 with one node of the diagram removed from Delta.
 QUOTIENTS = [
     ("E6", (2, 3, 4, 5, 6)),
@@ -74,9 +88,16 @@ def _median_time(fn) -> float:
     return statistics.median(times)
 
 
+def _parse(argv: list[str]):
+    """cli.parse_args, or the argparse parser of checkouts from before it."""
+    if hasattr(cli, "parse_args"):
+        return cli.parse_args(argv)
+    return cli._build_parser().parse_args(argv)
+
+
 def _render_time(argv: list[str]) -> float:
     """Median time of cli.run(argv) with its handler's result computed beforehand."""
-    ns = cli._build_parser().parse_args(argv)
+    ns = _parse(argv)
     result = cli._DISPATCH[ns.verb](ns)
     saved = cli._DISPATCH[ns.verb]
     cli._DISPATCH[ns.verb] = lambda ns: result
@@ -111,6 +132,20 @@ def measure_quotient(type_str: str, I: tuple[int, ...]) -> dict:
     finally:
         tracemalloc.stop()
     return {"reps": reps, "quotient": _median_time(lambda: quotient(rs, I)), "peak_bytes": peak}
+
+
+def measure_startup() -> dict:
+    """Median wall times of fresh interpreters: the CLI's import and parse, and a bare one."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    times: dict[str, list[float]] = {"cli": [], "bare": []}
+    for _ in range(STARTUP_RUNS):
+        for key, code in (("cli", STARTUP), ("bare", "pass")):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
+            times[key].append(time.perf_counter() - start)
+    cli_s, bare_s = (statistics.median(times[key]) for key in ("cli", "bare"))
+    return {"argv": STARTUP_ARGV, "runs": STARTUP_RUNS, "cli": cli_s, "bare": bare_s,
+            "cli_minus_bare": cli_s - bare_s}
 
 
 def _cpu() -> str | None:
@@ -151,6 +186,9 @@ def main() -> int:
         quotients[key] = row = measure_quotient(type_str, I)
         print(f"{key:<18} |W^I| {row['reps']:>6}  quotient {row['quotient']:.4f}s  "
               f"peak {row['peak_bytes'] / 1e6:.1f} MB", flush=True)
+    startup = measure_startup()
+    print(f"startup  cli {startup['cli']:.4f}s  bare {startup['bare']:.4f}s  "
+          f"difference {startup['cli_minus_bare']:.4f}s", flush=True)
     status = _git("status", "--porcelain", "--", "src")
     record = {
         "label": args.label,
@@ -164,6 +202,7 @@ def main() -> int:
         "call": "flagdegen T --J 1 (full flag, I empty); sweep T",
         "layers": layers,
         "quotients": quotients,
+        "startup": startup,
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

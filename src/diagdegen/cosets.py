@@ -19,7 +19,6 @@ tests.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .rootsys import SIZE_CAP, RootSystem, WeylOrderCapError
@@ -76,7 +75,7 @@ class Quotient(NamedTuple):
 
 
 def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
-    """Walk W^I breadth-first by left multiplication s_a * w on root permutations.
+    """Walk W^I breadth-first by left multiplication s_a * w, holding each w^-1.
 
     For w in W^I, s_a w is shorter than w, or lies in W^I one longer, or
     equals w s_i for some i in I (Deodhar's lemma), so the walk never leaves
@@ -92,9 +91,20 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
     read from the right, and the walk meets exactly those pairs (a, s_a v)
     when it reaches v: no word is built outside W^I.
 
-    A permutation is a byte string, byte r holding w(r): s_a w is one
-    ``bytes.translate`` through the table of s_a (``ROOT_CAP`` is 256).
-    A quotient over ``SIZE_CAP`` is refused before anything is allocated.
+    An entry is the byte string of w^-1, byte r holding w^-1(r)
+    (``ROOT_CAP`` is 256), so every test reads one byte or one C-level pass
+    (Bjorner-Brenti, GTM 231, 2.4):
+
+    * a is a left descent of w iff w^-1(alpha_a) < 0;
+    * s_a w = w s_i, with i in I, iff w^-1(alpha_a) = alpha_i;
+    * otherwise (s_a w)^-1 = w^-1 s_a is one ``bytes.translate`` of s_a's
+      table through w^-1 padded to 256 bytes, one entry of the next layer;
+    * bit r of the cell mask is set iff w^-1(r) lies in Phi^- minus Phi_I:
+      ``translate`` maps w^-1 to a string of binary digits, read by ``int``.
+
+    Only the next layer is indexed, and the current layer's words are
+    compared by their colex places, held as integers.  A quotient over
+    ``SIZE_CAP`` is refused before anything is allocated.
 
     Self-checks: |W^I| = |W| / |W_I| by the degree formula, and every cell
     satisfies dim C_w = length(w) and dim C_w + dim C-_w = dim G/P_I.
@@ -107,63 +117,65 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
     n_pos, rank = rs.n_positive, rs.rank
     simple = [rs.simple_index(a) for a in range(1, rank + 1)]
     pad = bytes(range(n, 256))
-    lmul = [sa + pad for sa in rs.reflections]  # translate tables: p.translate(lmul[a]) = s_a p
     phi_i = rs.sub_system(I)
-    off_neg = [b for b in range(n_pos, n) if b not in phi_i]
-    dim_x = len(off_neg)
-    # itemgetter returns a scalar for one index and needs at least one.
-    take = itemgetter(*off_neg) if dim_x > 1 else lambda p: [p[b] for b in off_neg]
-    bit = [1 << r for r in range(n)]
+    # digits[b] is the binary digit of root b in the cell mask: 1 iff b is in Phi^- minus Phi_I.
+    digits = bytes(b"01"[n_pos <= b < n and b not in phi_i] for b in range(256))
+    dim_x = digits.count(b"1")
     pos_mask = (1 << n_pos) - 1
-    i_roots = [simple[i - 1] for i in sorted(I)]
-
-    identity = bytes(range(n))
-    index = {identity: 0}  # root permutation of w_k -> k, over all of W^I
+    i_roots = frozenset(simple[i - 1] for i in I)
 
     lengths = [0]
     words: list[tuple[int, ...]] = [()]
     cell_roots: list[int] = []
     left: list[tuple[int, ...]] = []
-    rows = {0: [None] * rank}  # left-table rows of the current and the next layer
-    layer = [identity]
+    layer = [bytes(range(n))]  # w_k^-1 for the entries k of the current layer
+    ids = [0]  # their entries, one int object each, shared by the left table
+    rows = [[None] * rank]  # their left-table rows
+    order = [0]  # positions in the layer, in the colex order of their words
+    colex = [0]  # rank times the colex place of each one's word in the layer
     while layer:
-        base = len(left)
-        length = lengths[base]
-        for k, p in enumerate(layer, base):
-            mask = 0
-            for r in take(p):
-                mask |= bit[r]
-            plus = (mask & pos_mask).bit_count()
-            minus = (mask >> n_pos).bit_count()
-            if plus != length or plus + minus != dim_x:
+        base, length = ids[0], lengths[-1]
+        for k, winv in zip(ids, layer):
+            mask = int(winv.translate(digits)[::-1], 2)
+            if (mask & pos_mask).bit_count() != length or mask.bit_count() != dim_x:
                 raise RuntimeError(f"cell dimensions of rep {k} are inconsistent")
             cell_roots.append(mask)
-        fixed = [{p[r] for r in i_roots} for p in layer]
-        nxt = []
+        tables = [winv + pad for winv in layer]
+        top = base + len(layer)
+        index: dict[bytes, int] = {}  # w^-1 -> entry, over the next layer in order
+        nxt_rows: list[list] = []
+        least: list[int] = []  # per next entry v_j: min of colex[s_a v_j] + a over descents a
         for a in range(rank):
-            root, table = simple[a], lmul[a]
-            for k, p in enumerate(layer, base):
-                if (cell_roots[k] >> root) & 1:
+            root, sa = simple[a], rs.reflections[a]
+            for k, winv, table, row, key in zip(ids, layer, tables, rows, colex):
+                image = winv[root]
+                if image >= n_pos:
                     continue  # a left descent, filled in from below
-                if root in fixed[k - base]:
-                    rows[k][a] = k  # s_a w = w s_i stays in the coset
+                if image in i_roots:
+                    row[a] = k  # s_a w = w s_i stays in the coset
                     continue
-                v = p.translate(table)
+                v = sa.translate(table)
                 j = index.get(v)
                 if j is None:
-                    j = index[v] = len(lengths)
-                    lengths.append(length + 1)
-                    rows[j] = [None] * rank
-                    nxt.append(v)
-                rows[k][a] = j
-                rows[j][a] = k
-        for k in range(base, base + len(layer)):
-            left.append(tuple(rows.pop(k)))
-        for j in range(len(words), len(lengths)):
-            # Filled so far: rows[j][a] = k exactly for the left descents a of v_j.
-            words.append(min(((a + 1,) + words[k] for a, k in enumerate(rows[j]) if k is not None),
-                             key=lambda word: word[::-1]))
-        layer = nxt
+                    j = index[v] = top + len(nxt_rows)
+                    nxt_rows.append([None] * rank)
+                    least.append(key + a)
+                elif key + a < least[j - top]:
+                    least[j - top] = key + a
+                row[a] = j
+                nxt_rows[j - top][a] = k
+        left.extend(map(tuple, rows))
+        # Words of one layer are distinct and equally long, so the colex-least of the
+        # words (a + 1,) + words[k] of v_j, over its left descents a with k = s_a v_j,
+        # is the one of least (colex place of k, a): the key in least.  Sorting the keys
+        # gives the next layer's colex order.
+        words.extend((key % rank + 1,) + words[base + order[key // rank]] for key in least)
+        order = sorted(range(len(least)), key=least.__getitem__)
+        colex = [0] * len(least)
+        for place, i in enumerate(order):
+            colex[i] = place * rank
+        lengths.extend([length + 1] * len(least))
+        layer, ids, rows = list(index), list(index.values()), nxt_rows
 
     if len(lengths) != expected:
         raise RuntimeError(

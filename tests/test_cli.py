@@ -411,6 +411,40 @@ def test_help_exits_0(capsys):
     assert run_capture(capsys, ["--help"])[0] == 0
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["degen", "--help"]], ids=" ".join)
+def test_help_prints_the_grammar_on_stdout(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    if argv[0] == "degen":
+        assert out.splitlines()[0] == (
+            "usage: diagdegen degen <TYPE> --I a,b,... --J a,b,... [--json] [--out PATH]")
+    else:
+        assert out.splitlines()[0] == ("usage: diagdegen <verb> <TYPE> [--I a,b,...] [--J a,b,...] "
+                                       "[--json] [--variant paper|signed] [--out PATH]")
+        assert all(f"  {verb} " in out for verb in cli.VERBS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonsense", "A2"],
+    ["degen"],
+    ["degen", "A2", "--I", "1"],
+    ["roots", "A2", "--I", "1"],
+    ["gorenstein", "A2", "--variant", "odd"],
+    ["cosets", "A2", "--I"],
+    ["roots", "A2", "B2"],
+    ["roots", "A2", "--js"],
+], ids=" ".join)
+def test_usage_errors_are_one_line(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_option_values_after_equals_sign(capsys):
+    assert (run_capture(capsys, ["degen", "A2", "--I=2", "--J=1", "--json"])
+            == run_capture(capsys, ["degen", "--J", "1", "A2", "--json", "--I", "2"]))
+
+
 def _break_sweep_oracles(monkeypatch):
     """Make the count oracle and the fixed-point check disagree with the catalogue."""
     def wrong_counts(rs, I):
@@ -467,6 +501,9 @@ def test_any_argv_exits_cleanly_and_deterministically(verb, type_str, options):
     first = _run_quiet(argv)
     assert first[0] in (0, 1, 2, 3, 4)
     assert "Traceback" not in first[1] + first[2]
+    if first[0] == 2:
+        assert first[1] == ""
+        assert first[2].startswith("error: ") and first[2].count("\n") == 1
     assert _run_quiet(argv) == first
 
 
@@ -475,7 +512,7 @@ def test_any_argv_exits_cleanly_and_deterministically(verb, type_str, options):
 # cli._render_json must produce the text of json.dumps(indent=2, sort_keys=True).
 
 def _payload(argv):
-    ns = cli._build_parser().parse_args(argv)
+    ns = cli.parse_args(argv)
     return cli._DISPATCH[ns.verb](ns)[0]
 
 

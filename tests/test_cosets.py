@@ -1,5 +1,7 @@
 """Quotient representatives, double cosets, and Schubert cell dimensions."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -303,3 +305,16 @@ def test_weight_orbit_counts():
     assert len(weight_orbit(build_root_system("E6"), {2, 3, 4, 5, 6})) == 27
     assert len(weight_orbit(build_root_system("E7"), {1, 2, 3, 4, 5, 6})) == 56
     assert len(weight_orbit(build_root_system("E8"), {1, 2, 3, 4, 5, 6, 7})) == 240
+
+
+def test_walk_memory_of_e8_quotient():
+    # W(E8)/W(A7), 17 280 reps: the walk holds one layer beside what it returns.
+    rs = build_root_system("E8")
+    tracemalloc.start()
+    try:
+        q = quotient(rs, {1, 3, 4, 5, 6, 7, 8})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(q.lengths) == 17280
+    assert peak < 16 * 10**6

@@ -7,12 +7,13 @@ import sys
 
 import diagdegen
 
-# Modules that `import diagdegen.cli` must not load: the dataclasses machinery
-# and what only some verbs need (rationals and projgor for pn and gorenstein,
-# json for --json, wonderful for orbits, sweep and oracles for sweep, and weyl,
-# which the catalogue verbs name only in annotations).
+# Modules that `import diagdegen.cli` must not load: the dataclasses machinery,
+# argparse and gettext (the CLI parses its own grammar), and what only some verbs
+# need (rationals and projgor for pn and gorenstein, json for --json, wonderful
+# for orbits, sweep and oracles for sweep, and weyl, which the catalogue verbs
+# name only in annotations).
 NOT_AT_STARTUP = {
-    "dataclasses", "inspect", "fractions", "json",
+    "argparse", "dataclasses", "gettext", "inspect", "fractions", "json",
     "diagdegen.sweep", "diagdegen.oracles", "diagdegen.projgor", "diagdegen.weyl",
     "diagdegen.wonderful",
 }
