@@ -6,9 +6,9 @@ For the full flag (I empty) of each type below, and for the call
 
 * ``quotient``: ``cosets.quotient(rs, ())``, the walk of W;
 * ``components``: ``degen.components(rs, q, {1})`` on that walk;
-* ``json``: ``cli.run`` of the call with ``--json``, its handler's result
-  computed beforehand, so it times argument parsing and rendering;
-  output goes to a sink that discards it;
+* ``json``: ``cli.parse_args`` of the call with ``--json`` and the
+  rendering ``cli._run`` does, its handler ``cli._cmd_flagdegen`` called
+  once beforehand; output goes to a sink that discards it;
 * ``text``: the same without ``--json``;
 * ``sweep``: ``sweep.run_sweep(T)``, every check over every faithful I
   and every J, or null for a type over ``sweep.ORDER_CAP`` (E6).
@@ -18,6 +18,10 @@ the walk of the maximal parabolic quotients in QUOTIENTS, where many
 printed words do.  For each it records
 ``reps`` (|W^I|), ``quotient`` (the median of REPEATS walks) and
 ``peak_bytes`` (the ``tracemalloc`` peak of one more, untimed walk).
+
+For each n in GORENSTEIN_RANKS and each variant it records the median of
+REPEATS calls of ``projgor.gorenstein_obstruction(n, variant)``, the
+work of ``gorenstein A<n>``.
 
 Every CLI call is a fresh process, so it also records ``startup``: the
 median over STARTUP_RUNS fresh interpreters of the wall time of
@@ -43,14 +47,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from contextlib import redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from diagdegen import cli, degen  # noqa: E402
+from diagdegen import VARIANTS, cli, degen  # noqa: E402
 from diagdegen.cosets import quotient  # noqa: E402
+from diagdegen.projgor import gorenstein_obstruction  # noqa: E402
 from diagdegen.rootsys import build_root_system  # noqa: E402
 from diagdegen.sweep import ORDER_CAP, run_sweep  # noqa: E402
 
@@ -58,11 +62,10 @@ TYPES = ["A5", "A6", "B4", "B5", "D5", "F4", "E6"]
 REPEATS = 5
 STARTUP_RUNS = 31
 STARTUP_ARGV = ["flagdegen", "A5", "--J", "1", "--json"]
-# The same parse as _parse, in a fresh interpreter.
+# The CLI's import and the parse of STARTUP_ARGV, in a fresh interpreter.
 STARTUP = f"""
 import diagdegen.cli as cli
-argv = {STARTUP_ARGV!r}
-cli.parse_args(argv) if hasattr(cli, "parse_args") else cli._build_parser().parse_args(argv)
+cli.parse_args({STARTUP_ARGV!r})
 """
 # (type, I): E6, E7 and E8 with one node of the diagram removed from Delta.
 QUOTIENTS = [
@@ -72,6 +75,7 @@ QUOTIENTS = [
     ("E8", (2, 3, 4, 5, 6, 7, 8)),
     ("E8", (1, 3, 4, 5, 6, 7, 8)),
 ]
+GORENSTEIN_RANKS = (9, 15)
 
 
 class _Sink:
@@ -88,24 +92,17 @@ def _median_time(fn) -> float:
     return statistics.median(times)
 
 
-def _parse(argv: list[str]):
-    """cli.parse_args, or the argparse parser of checkouts from before it."""
-    if hasattr(cli, "parse_args"):
-        return cli.parse_args(argv)
-    return cli._build_parser().parse_args(argv)
-
-
 def _render_time(argv: list[str]) -> float:
-    """Median time of cli.run(argv) with its handler's result computed beforehand."""
-    ns = _parse(argv)
-    result = cli._DISPATCH[ns.verb](ns)
-    saved = cli._DISPATCH[ns.verb]
-    cli._DISPATCH[ns.verb] = lambda ns: result
-    try:
-        with redirect_stdout(_Sink()):
-            return _median_time(lambda: cli.run(argv))
-    finally:
-        cli._DISPATCH[ns.verb] = saved
+    """Median time of parsing argv and rendering as cli._run does, the handler called beforehand."""
+    ns = cli.parse_args(argv)
+    payload, text = getattr(cli, f"_cmd_{ns.verb}")(ns)
+    sink = _Sink()
+
+    def parse_and_render() -> None:
+        ns = cli.parse_args(argv)
+        sink.write(cli._render_json(payload) + "\n" if ns.json else text())
+
+    return _median_time(parse_and_render)
 
 
 def measure(type_str: str) -> dict:
@@ -132,6 +129,10 @@ def measure_quotient(type_str: str, I: tuple[int, ...]) -> dict:
     finally:
         tracemalloc.stop()
     return {"reps": reps, "quotient": _median_time(lambda: quotient(rs, I)), "peak_bytes": peak}
+
+
+def measure_gorenstein(n: int) -> dict:
+    return {v: _median_time(lambda: gorenstein_obstruction(n, v)) for v in VARIANTS}
 
 
 def measure_startup() -> dict:
@@ -186,6 +187,11 @@ def main() -> int:
         quotients[key] = row = measure_quotient(type_str, I)
         print(f"{key:<18} |W^I| {row['reps']:>6}  quotient {row['quotient']:.4f}s  "
               f"peak {row['peak_bytes'] / 1e6:.1f} MB", flush=True)
+    gorenstein = {}
+    for n in GORENSTEIN_RANKS:
+        gorenstein[f"A{n}"] = row = measure_gorenstein(n)
+        print(f"gorenstein A{n:<3} " + "  ".join(f"{v} {row[v]:.4f}s" for v in VARIANTS),
+              flush=True)
     startup = measure_startup()
     print(f"startup  cli {startup['cli']:.4f}s  bare {startup['bare']:.4f}s  "
           f"difference {startup['cli_minus_bare']:.4f}s", flush=True)
@@ -199,9 +205,11 @@ def main() -> int:
         "repeats": REPEATS,
         "statistic": "median",
         "unit": "s",
-        "call": "flagdegen T --J 1 (full flag, I empty); sweep T",
+        "call": ("flagdegen T --J 1 (full flag, I empty); sweep T; "
+                 "gorenstein_obstruction(n, variant)"),
         "layers": layers,
         "quotients": quotients,
+        "gorenstein": gorenstein,
         "startup": startup,
     }
     out = ROOT / f"BENCH_{args.label}.json"

@@ -29,9 +29,11 @@ from .rootsys import DynkinError, RootSystem, WeylOrderCapError, build_root_syst
 # paths that use them: each call runs in a fresh process, and most verbs need none.
 
 class Verb(NamedTuple):
-    """A row of the grammar: a verb's help text and the options it takes besides --json and --out."""
+    """A row of the grammar: a verb's help text, its handler and the options it
+    takes besides --json and --out."""
 
     help: str
+    handler: Callable[[Args], Rendered]
     takes: tuple[str, ...] = ()
     required: tuple[str, ...] = ()
 
@@ -39,19 +41,6 @@ class Verb(NamedTuple):
     def options(self) -> tuple[str, ...]:
         return self.takes + ("json", "out")
 
-
-_GRAMMAR = {
-    "roots": Verb("list the roots of a type"),
-    "weyl": Verb("Weyl group summary"),
-    "cosets": Verb("minimal coset representatives and cell dimensions", ("I",), ("I",)),
-    "orbits": Verb("orbit lattice of the wonderful compactification"),
-    "degen": Verb("degeneration components over a stratum", ("I", "J"), ("I", "J")),
-    "flagdegen": Verb("degeneration components for the full flag variety", ("J",), ("J",)),
-    "pn": Verb("projective-space closed forms (type A_n)", ("J",), ("J",)),
-    "gorenstein": Verb("Hilbert polynomial and Gorenstein obstruction (type A_n)", ("variant",)),
-    "sweep": Verb("run every invariant check over all faithful I and all J"),
-}
-VERBS = tuple(_GRAMMAR)
 
 #: Option name -> (metavar, help), in the order of the grammar; --json is the one flag.
 _OPTIONS = {
@@ -441,17 +430,22 @@ def _cmd_sweep(ns) -> Rendered:
     return {"verb": "sweep"} | report.to_json_obj(), report.format_text
 
 
-_DISPATCH = {
-    "roots": _cmd_roots,
-    "weyl": _cmd_weyl,
-    "cosets": _cmd_cosets,
-    "orbits": _cmd_orbits,
-    "degen": _cmd_degen,
-    "flagdegen": _cmd_flagdegen,
-    "pn": _cmd_pn,
-    "gorenstein": _cmd_gorenstein,
-    "sweep": _cmd_sweep,
+_GRAMMAR = {
+    "roots": Verb("list the roots of a type", _cmd_roots),
+    "weyl": Verb("Weyl group summary", _cmd_weyl),
+    "cosets": Verb("minimal coset representatives and cell dimensions", _cmd_cosets,
+                   ("I",), ("I",)),
+    "orbits": Verb("orbit lattice of the wonderful compactification", _cmd_orbits),
+    "degen": Verb("degeneration components over a stratum", _cmd_degen,
+                  ("I", "J"), ("I", "J")),
+    "flagdegen": Verb("degeneration components for the full flag variety", _cmd_flagdegen,
+                      ("J",), ("J",)),
+    "pn": Verb("projective-space closed forms (type A_n)", _cmd_pn, ("J",), ("J",)),
+    "gorenstein": Verb("Hilbert polynomial and Gorenstein obstruction (type A_n)",
+                       _cmd_gorenstein, ("variant",)),
+    "sweep": Verb("run every invariant check over all faithful I and all J", _cmd_sweep),
 }
+VERBS = tuple(_GRAMMAR)
 
 
 def _render_json(payload: dict) -> str:
@@ -499,17 +493,25 @@ def _render_json(payload: dict) -> str:
 
 
 def _write_file(path: str, text: str) -> None:
-    """Write text to path through a temp file and a rename, never partially."""
+    """Write text to the file path names through a temp file and a rename, never partially.
+
+    A symlink is written through, not replaced.  An existing target that is
+    neither a regular file nor a directory (a FIFO, a device) is refused,
+    since the rename would replace it; a directory fails at the rename.
+    """
     import tempfile
 
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".diagdegen-")
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not (os.path.isfile(target) or os.path.isdir(target)):
+        raise OSError("not a regular file")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".diagdegen-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -540,7 +542,7 @@ def _run(argv: list[str] | None) -> int:
     if ns.help:
         sys.stdout.write(_usage(ns.verb))
         return 0
-    payload, text = _DISPATCH[ns.verb](ns)
+    payload, text = _GRAMMAR[ns.verb].handler(ns)
     if ns.json:
         rendered = _render_json(payload) + "\n"
     else:

@@ -15,7 +15,8 @@ total degeneration Z in P^n x P^n being Gorenstein: its Hilbert
 polynomial h(m) = (2m+1)...(2m+n)/n! would have to satisfy
 h(-m) = h(m + p) for an integer p, which fails for even n.  The "signed"
 variant adds the (-1)^n duality factor and has the solution p = -(n+1)/2
-for odd n.  Polynomial arithmetic is exact over Fraction coefficients.
+for odd n.  Both sides have degree n in m, so the identity is checked at
+the n + 1 points m = 0, ..., n.  Arithmetic is exact over Fractions.
 """
 
 from __future__ import annotations
@@ -68,14 +69,6 @@ class RationalPolynomial(NamedTuple):
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def substitute(self, a: Fraction | int, b: Fraction | int) -> "RationalPolynomial":
-        """The polynomial m -> self(a*m + b)."""
-        inner = RationalPolynomial.from_coeffs([b, a])
-        acc = RationalPolynomial.from_coeffs([])
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RationalPolynomial.from_coeffs([c])
         return acc
 
     def json_coeffs(self) -> list[list[int]]:
@@ -197,17 +190,20 @@ def gorenstein_obstruction(n: int, variant: str = "paper") -> int | None:
     """Smallest-|p| integer with h(-m) = (sign) h(m+p), or None.
 
     Variant "paper" matches the polynomials as written; "signed" inserts
-    the duality factor (-1)^n on the right-hand side.  An exhaustive scan
-    of p in [-2n, 2n] is compared against the root-matching shortcut.
+    the duality factor (-1)^n on the right-hand side.  Both sides have
+    degree n in m, so p is accepted iff they agree at the n + 1 points
+    m = 0, ..., n; an exhaustive scan of p in [-2n, 2n] reads one table
+    of h(k), k = -2n, ..., 3n, and is compared against the root-matching
+    shortcut.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     h = diag_hilbert_poly(n)
-    target = h.substitute(-1, 0)
+    values = {k: h(k) for k in range(-2 * n, 3 * n + 1)}
     sign = (-1) ** n if variant == "signed" else 1
     matches = [
         p for p in range(-2 * n, 2 * n + 1)
-        if h.substitute(1, p) * sign == target
+        if all(sign * values[m + p] == values[-m] for m in range(n + 1))
     ]
     scanned = min(matches, key=lambda p: (abs(p), p)) if matches else None
     shortcut = _obstruction_by_roots(n, variant)

@@ -193,7 +193,7 @@ def test_run_sweep_script_reports_out_of_memory_as_exit_3(monkeypatch, capsys):
 
 
 def test_bench_layers_script_measures_a2(monkeypatch):
-    # No CI step runs the script; it patches cli._DISPATCH and times cli.run.
+    # No CI step runs the script; it times parsing and rendering apart from the handler.
     path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_layers.py")
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src
     spec = importlib.util.spec_from_file_location("bench_layers_script", path)
@@ -202,10 +202,12 @@ def test_bench_layers_script_measures_a2(monkeypatch):
     row = module.measure("A2")
     assert row["reps"] == 6
     assert all(row[k] > 0 for k in ("quotient", "components", "json", "text", "sweep"))
-    assert cli._DISPATCH["flagdegen"] is cli._cmd_flagdegen
     row = module.measure_quotient("A2", (2,))
     assert row["reps"] == 3 and row["quotient"] > 0 and row["peak_bytes"] > 0
     assert [type_str for type_str, _ in module.QUOTIENTS] == ["E6", "E7", "E8", "E8", "E8"]
+    assert module.GORENSTEIN_RANKS == (9, 15)
+    row = module.measure_gorenstein(3)
+    assert set(row) == {"paper", "signed"} and all(t > 0 for t in row.values())
 
 
 def _run_capped(argv, megabytes):
@@ -395,12 +397,36 @@ def test_out_flag_failed_rename_leaves_no_file(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_out_flag_writes_through_a_symlink(tmp_path, capsys):
+    argv = ["roots", "A1"]
+    stdout = run_capture(capsys, argv)[1]
+    real = tmp_path / "real.txt"
+    real.write_text("old content\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real.name)
+    code, out, err = run_capture(capsys, argv + ["--out", str(link)])
+    assert (code, out, err) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_bytes() == stdout.encode()
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
+def test_out_flag_refuses_a_fifo(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    code, out, err = run_capture(capsys, ["roots", "A1", "--out", str(fifo)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {fifo}: not a regular file\n"
+    assert fifo.is_fifo()
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
 @pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
 def test_internal_failure_exits_4(monkeypatch, capsys, exc):
     def broken(ns):
         raise exc("cell dimensions of rep 3 are inconsistent")
 
-    monkeypatch.setitem(cli._DISPATCH, "cosets", broken)
+    monkeypatch.setitem(cli._GRAMMAR, "cosets", cli._GRAMMAR["cosets"]._replace(handler=broken))
     code, out, err = run_capture(capsys, ["cosets", "A2", "--I", "1"])
     assert code == 4
     assert out == ""
@@ -513,7 +539,7 @@ def test_any_argv_exits_cleanly_and_deterministically(verb, type_str, options):
 
 def _payload(argv):
     ns = cli.parse_args(argv)
-    return cli._DISPATCH[ns.verb](ns)[0]
+    return cli._GRAMMAR[ns.verb].handler(ns)[0]
 
 
 def _dumps(value):
