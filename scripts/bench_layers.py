@@ -6,6 +6,8 @@ For the full flag (I empty) of each type below, and for the call
 
 * ``quotient``: ``cosets.quotient(rs, ())``, the walk of W;
 * ``components``: ``degen.components(rs, q, {1})`` on that walk;
+* ``components_all``: ``degen.components(rs, q, J)`` on that walk for
+  every J, the per-J filter of ``^J W^I`` over the whole walk;
 * ``json``: ``cli.parse_args`` of the call with ``--json`` and the
   rendering ``cli._run`` does, its handler ``cli._cmd_flagdegen`` called
   once beforehand; output goes to a sink that discards it;
@@ -55,7 +57,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from diagdegen import VARIANTS, cli, degen  # noqa: E402
 from diagdegen.cosets import quotient  # noqa: E402
 from diagdegen.projgor import gorenstein_obstruction  # noqa: E402
-from diagdegen.rootsys import build_root_system  # noqa: E402
+from diagdegen.rootsys import all_subsets, build_root_system  # noqa: E402
 from diagdegen.sweep import ORDER_CAP, run_sweep  # noqa: E402
 
 TYPES = ["A5", "A6", "B4", "B5", "D5", "F4", "E6"]
@@ -113,6 +115,8 @@ def measure(type_str: str) -> dict:
         "reps": len(q.lengths),
         "quotient": _median_time(lambda: quotient(rs, ())),
         "components": _median_time(lambda: degen.components(rs, q, {1})),
+        "components_all": _median_time(
+            lambda: [degen.components(rs, q, J) for J in all_subsets(rs.rank)]),
         "json": _render_time(argv + ["--json"]),
         "text": _render_time(argv),
         "sweep": (_median_time(lambda: run_sweep(type_str))
@@ -180,7 +184,8 @@ def main() -> int:
         layers[type_str] = row = measure(type_str)
         print(f"{type_str:<4} |W| {row['reps']:>6}  " + "  ".join(
             f"{k} {'-' if row[k] is None else f'{row[k]:.4f}s'}"
-            for k in ("quotient", "components", "json", "text", "sweep")), flush=True)
+            for k in ("quotient", "components", "components_all", "json", "text", "sweep")),
+            flush=True)
     quotients = {}
     for type_str, I in QUOTIENTS:
         key = f"{type_str} I={','.join(map(str, I))}"
@@ -205,7 +210,7 @@ def main() -> int:
         "repeats": REPEATS,
         "statistic": "median",
         "unit": "s",
-        "call": ("flagdegen T --J 1 (full flag, I empty); sweep T; "
+        "call": ("flagdegen T --J 1 (full flag, I empty); components on every J; sweep T; "
                  "gorenstein_obstruction(n, variant)"),
         "layers": layers,
         "quotients": quotients,

@@ -153,12 +153,12 @@ def _parse_subset(rs: RootSystem, text: str, flag: str) -> frozenset[int]:
     text = text.strip()
     if not text:
         return frozenset()
+    parts = [part.strip() for part in text.split(",")]
+    # -?[0-9]+ in ASCII: int() would also take "1_2", "+1" and "٣"
+    if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+        raise UsageError(f"--{flag}: expected comma-separated integers, got {text!r}")
     try:
-        indices = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise UsageError(f"--{flag}: expected comma-separated integers, got {text!r}") from None
-    try:
-        return rs.simple_subset(indices)
+        return rs.simple_subset([int(part) for part in parts])
     except ValueError as exc:
         raise UsageError(f"--{flag}: {exc}") from None
 

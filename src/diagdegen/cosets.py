@@ -9,10 +9,10 @@ subset enumerations that double-check both live in :mod:`diagdegen.oracles`.
 The quotient is the unit of work.  :func:`quotient` walks W^I by length
 from the root system alone, never building W: a walk of W(E6)/W(D5) visits
 27 permutations, not 51 840.  The catalogue verbs (``cosets``, ``degen``,
-``flagdegen``) read everything from the walk; ``^J W^I`` and the left
-action on W/W_I come out of its left table.  ``min_reps`` adapts the
-walk to the ids of an enumerated group, for the sweep and the tests, and
-caches it once per group and ``I``; ``double_min_reps`` and
+``flagdegen``) read everything from the walk: ``^J W^I`` from its cell
+masks, the left action on W/W_I from its left table.  ``min_reps`` adapts
+the walk to the ids of an enumerated group, for the sweep and the tests,
+and caches it once per group and ``I``; ``double_min_reps`` and
 :func:`diagdegen.degen.fiber_components` read it in those ids for the
 tests.
 """
@@ -37,7 +37,8 @@ class Quotient(NamedTuple):
     ``left[k][a - 1]`` is the entry of the coset s_a w_k W_I, which is
     either s_a w_k or w_k itself.  Bit r of ``cell_roots[k]`` is set iff
     w_k^-1 sends root r to a negative root off Phi_I; its positive bits
-    count dim C_w, its negative bits dim C-_w.
+    count dim C_w, its negative bits dim C-_w, and its simple roots are the
+    left descents of w_k, which is how :func:`double` reads ^J W^I.
     """
 
     I: frozenset[int]
@@ -59,19 +60,6 @@ class Quotient(NamedTuple):
         for a in reversed(tuple(word)):
             k = left[k][a - 1]
         return k
-
-    def double(self, J: Iterable[int]) -> tuple[int, ...]:
-        """Entries of ^J W^I: the w_k that no s_j, j in J, shortens."""
-        # Entries are sorted by length, so s_j shortens w_k iff its entry is < k.
-        J = [j - 1 for j in sorted(J)]
-        out = []
-        for k, row in enumerate(self.left):
-            for j in J:
-                if row[j] < k:
-                    break
-            else:
-                out.append(k)
-        return tuple(out)
 
 
 def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
@@ -185,6 +173,16 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
     return Quotient(I, dim_x, tuple(lengths), tuple(words), tuple(left), tuple(cell_roots))
 
 
+def double(rs: RootSystem, q: Quotient, J: Iterable[int]) -> tuple[int, ...]:
+    """Entries of ^J W^I: the w_k of the walk q with w_k^-1(alpha_j) > 0 for all j in J.
+
+    For w in W^I a negative w^-1(alpha_j) is off Phi_I (else alpha_j = -w(beta)
+    < 0 with beta in Phi_I^+), so it is a bit of the cell mask of w_k.
+    """
+    simple_j = sum(1 << rs.simple_index(j) for j in rs.simple_subset(J))
+    return tuple(k for k, cells in enumerate(q.cell_roots) if not cells & simple_j)
+
+
 class QuotientData(NamedTuple):
     """The quotient W/W_I in the ids of an enumerated group, with its walk."""
 
@@ -243,10 +241,7 @@ def min_reps(g: WeylGroup, I: Iterable[int]) -> QuotientData:
 
 
 def double_min_reps(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> tuple[int, ...]:
-    """Sorted ids of ^J W^I, the minimal double-coset representatives.
-
-    Filtered from W^I by the left table: the members that no s_j shortens.
-    """
+    """Sorted ids of ^J W^I, the minimal double-coset representatives, read by :func:`double`."""
     q = min_reps(g, I)
-    return tuple(q.reps[k] for k in q.walk.double(g.rs.simple_subset(J)))
+    return tuple(q.reps[k] for k in double(g.rs, q.walk, J))
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import compress, count, product
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .cosets import Quotient, double_min_reps, min_reps
+from .cosets import Quotient, double, double_min_reps, min_reps
 from .rootsys import RootSystem
 
 if TYPE_CHECKING:
@@ -68,10 +68,10 @@ class FiberComponent(NamedTuple):
 def components(rs: RootSystem, q: Quotient, J: Iterable[int]) -> list[FiberComponent]:
     """Catalogue the components of the degeneration over the stratum J.
 
-    One component per w in ^J W^I, read off the walk q of W^I: its left
-    index is the coset of w_J w, applied letter by letter through the left
-    table, and its Levi part counts the roots of Phi_J that w^-1 sends to
-    negative roots off Phi_I.
+    One component per w in ^J W^I, read off the cell masks of the walk q of
+    W^I: its left index is the coset of w_J w, applied letter by letter
+    through the left table, and its Levi part counts the roots of Phi_J that
+    w^-1 sends to negative roots off Phi_I.
     """
     return [FiberComponent(*c) for c in _catalogue(rs, q, J)]
 
@@ -91,7 +91,7 @@ def _catalogue(rs: RootSystem, q: Quotient, J: Iterable[int]):
     require_faithful(rs, q.I)
     w_j, phi_j = rs.longest_word(J), rs.sub_system_mask(J)
     cell_roots, lengths, dim_x = q.cell_roots, q.lengths, q.dim_x
-    for w in q.double(J):
+    for w in double(rs, q, J):
         left = q.act(w_j, w)
         yield w, left, (cell_roots[w] & phi_j).bit_count(), dim_x - lengths[left], lengths[w]
 

@@ -201,7 +201,8 @@ def test_bench_layers_script_measures_a2(monkeypatch):
     spec.loader.exec_module(module)
     row = module.measure("A2")
     assert row["reps"] == 6
-    assert all(row[k] > 0 for k in ("quotient", "components", "json", "text", "sweep"))
+    assert all(row[k] > 0 for k in ("quotient", "components", "components_all", "json", "text",
+                                    "sweep"))
     row = module.measure_quotient("A2", (2,))
     assert row["reps"] == 3 and row["quotient"] > 0 and row["peak_bytes"] > 0
     assert [type_str for type_str, _ in module.QUOTIENTS] == ["E6", "E7", "E8", "E8", "E8"]
@@ -329,7 +330,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--I", "--J"])
-@pytest.mark.parametrize("text,index", [("1,5", 5), ("1,0", 0), ("5,0", 5)])
+@pytest.mark.parametrize("text,index", [("1,5", 5), ("1,0", 0), ("5,0", 5), ("-1", -1)])
 def test_subset_index_out_of_range_message(capsys, flag, text, index):
     # The message names the first index out of range in the order given.
     argv = ["degen", "A2", "--I", "2", "--J", "1"]
@@ -337,6 +338,23 @@ def test_subset_index_out_of_range_message(capsys, flag, text, index):
     code, out, err = run_capture(capsys, argv)
     assert (code, out) == (2, "")
     assert err == f"error: {flag}: index {index} out of range 1..2\n"
+
+
+@pytest.mark.parametrize("argv,flag,text", [
+    (["pn", "A13", "--J", "1_2"], "J", "1_2"),
+    (["cosets", "A12", "--I", "\u0663"], "I", "\u0663"),
+    (["degen", "A2", "--I", "+1", "--J", "1"], "I", "+1"),
+], ids=["underscore", "arabic-indic digit", "plus sign"])
+def test_subset_takes_only_ascii_integers(capsys, argv, flag, text):
+    # int() reads "1_2" as 12, "\u0663" as 3 and "+1" as 1; the grammar is -?[0-9]+.
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --{flag}: expected comma-separated integers, got {text!r}\n"
+
+
+def test_subset_parts_may_carry_spaces(capsys):
+    assert run_capture(capsys, ["degen", "A2", "--I", " 2 ", "--J", " 1, 2"]) == \
+        run_capture(capsys, ["degen", "A2", "--I", "2", "--J", "1,2"])
 
 
 def test_sweep_reports_pass(capsys):

@@ -169,6 +169,28 @@ def test_sweep_weight_set_check_catches_a_wrong_cell_root(monkeypatch):
     assert weights.failures
 
 
+def test_sweep_count_check_catches_a_cleared_left_descent(monkeypatch):
+    # ^J W^I is read from the cell masks, so clearing the bit of the left
+    # descent s_a of w_1 = s_a admits w_1 to ^J W^I for every J holding a.
+    real = cosets.quotient
+
+    def mutant(rs, I):
+        q = real(rs, I)
+        if str(rs.dynkin) == "B3" and q.I == {2}:
+            roots = list(q.cell_roots)
+            bit = 1 << rs.simple_index(q.words[1][0])
+            assert roots[1] & bit
+            roots[1] ^= bit
+            q = q._replace(cell_roots=tuple(roots))
+        return q
+
+    monkeypatch.setattr(cosets, "quotient", mutant)
+    report = run_sweep("B3")
+    counts = next(c for c in report.checks if c.name == "component counts")
+    assert counts.failures
+    assert all(f["I"] == [2] for f in counts.failures)
+
+
 def test_sweep_closed_fiber_check_catches_swapped_dimensions(monkeypatch):
     # The check holds the J = {} catalogue against the coset oracle's
     # (dim X - length, length) split, so swapping the two Schubert parts must fail it.
