@@ -112,7 +112,7 @@ def measure(type_str: str) -> dict:
     q = quotient(rs, ())
     argv = ["flagdegen", type_str, "--J", "1"]
     return {
-        "reps": len(q.lengths),
+        "reps": len(q.words),
         "quotient": _median_time(lambda: quotient(rs, ())),
         "components": _median_time(lambda: degen.components(rs, q, {1})),
         "components_all": _median_time(
@@ -128,7 +128,7 @@ def measure_quotient(type_str: str, I: tuple[int, ...]) -> dict:
     rs = build_root_system(type_str)
     tracemalloc.start()
     try:
-        reps = len(quotient(rs, I).lengths)
+        reps = len(quotient(rs, I).words)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

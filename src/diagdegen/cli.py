@@ -8,8 +8,9 @@ whole, never by prefix.  ``-h`` or ``--help``, first or after a verb, prints
 the grammar on stdout and exits 0.  :func:`parse_args` reads argv from the
 table of verbs, ``_GRAMMAR``, without argparse, whose import and parser
 construction cost a call about 6 ms.  Exit codes: 0 success, 1 sweep
-failures, 2 usage errors (any malformed argv, an unknown type or index, and
-an ``--out`` path that is empty or cannot be written), 3 domain errors (a
+failures, 2 usage errors (any malformed argv, an unknown type or index, an
+``--out`` path that is empty or cannot be written, and stdout that cannot be
+written), 3 domain errors (a
 size cap of ``rootsys`` or the sweep's; a non-faithful I; running out of
 memory anywhere in the call), 4 internal invariant failures.  Every error is
 one line on stderr.
@@ -540,24 +541,25 @@ def guarded(body: Callable[[], int]) -> int:
 def _run(argv: list[str] | None) -> int:
     ns = parse_args(sys.argv[1:] if argv is None else argv)
     if ns.help:
-        sys.stdout.write(_usage(ns.verb))
-        return 0
-    payload, text = _GRAMMAR[ns.verb].handler(ns)
-    if ns.json:
-        rendered = _render_json(payload) + "\n"
+        rendered, code = _usage(ns.verb), 0
     else:
-        rendered = text()
-    if ns.out is not None:
-        try:
+        payload, text = _GRAMMAR[ns.verb].handler(ns)
+        rendered = _render_json(payload) + "\n" if ns.json else text()
+        code = 1 if ns.verb == "sweep" and not payload["ok"] else 0
+    try:
+        if ns.out is None:
+            sys.stdout.write(rendered)
+            sys.stdout.flush()
+        else:
             _write_file(ns.out, rendered)
-        except OSError as exc:
-            print(f"error: cannot write {ns.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(rendered)
-    if ns.verb == "sweep" and not payload["ok"]:
-        return 1
-    return 0
+    except OSError as exc:
+        if ns.out is None:
+            # What stays buffered goes to the null device, so the flush at exit cannot fail.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        target = "stdout" if ns.out is None else ns.out
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def main() -> None:

@@ -11,10 +11,10 @@ from the root system alone, never building W: a walk of W(E6)/W(D5) visits
 27 permutations, not 51 840.  The catalogue verbs (``cosets``, ``degen``,
 ``flagdegen``) read everything from the walk: ``^J W^I`` from its cell
 masks, the left action on W/W_I from its left table.  ``min_reps`` adapts
-the walk to the ids of an enumerated group, for the sweep and the tests,
-and caches it once per group and ``I``; ``double_min_reps`` and
-:func:`diagdegen.degen.fiber_components` read it in those ids for the
-tests.
+the walk to the ids of an enumerated group, for the sweep's oracles and
+the tests, and caches it once per group and ``I``; ``QuotientData.entry``
+is the one map from ids to entries of the walk, and ``double_min_reps`` and
+:func:`diagdegen.degen.fiber_components` read the walk in those ids.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ class Quotient(NamedTuple):
     Entries are sorted as the ids of :func:`diagdegen.weyl.generate` sort
     (by length, then by lexicographically least reduced word).  ``words``
     holds the reduced word that ``WeylGroup.reduced_word`` prints: the
-    colex-least one, which strips the smallest right descent at each step.
+    colex-least one, which strips the smallest right descent at each step;
+    the length of w_k is ``len(words[k])``.
     ``left[k][a - 1]`` is the entry of the coset s_a w_k W_I, which is
     either s_a w_k or w_k itself.  Bit r of ``cell_roots[k]`` is set iff
     w_k^-1 sends root r to a negative root off Phi_I; its positive bits
@@ -43,7 +44,6 @@ class Quotient(NamedTuple):
 
     I: frozenset[int]
     dim_x: int
-    lengths: tuple[int, ...]
     words: tuple[tuple[int, ...], ...]
     left: tuple[tuple[int, ...], ...]
     cell_roots: tuple[int, ...]
@@ -52,7 +52,7 @@ class Quotient(NamedTuple):
     def dims(self) -> tuple[tuple[int, int], ...]:
         """(dim C_w, dim C-_w) per entry: (length, dim_x - length), as the walk checks."""
         dim_x = self.dim_x
-        return tuple((length, dim_x - length) for length in self.lengths)
+        return tuple((len(word), dim_x - len(word)) for word in self.words)
 
     def act(self, word: Iterable[int], k: int = 0) -> int:
         """The entry of the coset s_{a_1} ... s_{a_m} w_k W_I, for word (a_1, ..., a_m)."""
@@ -112,7 +112,7 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
     pos_mask = (1 << n_pos) - 1
     i_roots = frozenset(simple[i - 1] for i in I)
 
-    lengths = [0]
+    length = 0
     words: list[tuple[int, ...]] = [()]
     cell_roots: list[int] = []
     left: list[tuple[int, ...]] = []
@@ -122,7 +122,7 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
     order = [0]  # positions in the layer, in the colex order of their words
     colex = [0]  # rank times the colex place of each one's word in the layer
     while layer:
-        base, length = ids[0], lengths[-1]
+        base = ids[0]
         for k, winv in zip(ids, layer):
             mask = int(winv.translate(digits)[::-1], 2)
             if (mask & pos_mask).bit_count() != length or mask.bit_count() != dim_x:
@@ -162,15 +162,15 @@ def quotient(rs: RootSystem, I: Iterable[int]) -> Quotient:
         colex = [0] * len(least)
         for place, i in enumerate(order):
             colex[i] = place * rank
-        lengths.extend([length + 1] * len(least))
+        length += 1
         layer, ids, rows = list(index), list(index.values()), nxt_rows
 
-    if len(lengths) != expected:
+    if len(words) != expected:
         raise RuntimeError(
-            f"{rs.dynkin}: walked {len(lengths)} representatives of W^I, "
+            f"{rs.dynkin}: walked {len(words)} representatives of W^I, "
             f"the order formula says {expected}"
         )
-    return Quotient(I, dim_x, tuple(lengths), tuple(words), tuple(left), tuple(cell_roots))
+    return Quotient(I, dim_x, tuple(words), tuple(left), tuple(cell_roots))
 
 
 def double(rs: RootSystem, q: Quotient, J: Iterable[int]) -> tuple[int, ...]:
@@ -203,9 +203,13 @@ class QuotientData(NamedTuple):
     def __contains__(self, w: int) -> bool:
         return w >= 0 and (self.rep_mask >> w) & 1 == 1
 
+    def entry(self, w: int) -> int:
+        """The entry of the walk that is the coset w W_I, read from the left table."""
+        return self.walk.act(self.group.words[w])
+
     def canonicalize(self, w: int) -> int:
-        """The unique member of W^I in the coset w W_I, read from the left table."""
-        return self.reps[self.walk.act(self.group.words[w])]
+        """The unique member of W^I in the coset w W_I."""
+        return self.reps[self.entry(w)]
 
 
 def min_reps(g: WeylGroup, I: Iterable[int]) -> QuotientData:

@@ -20,10 +20,10 @@ gives back the diagonal as a single component.
 
 from __future__ import annotations
 
-from itertools import compress, count, product
+from itertools import product
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .cosets import Quotient, double, double_min_reps, min_reps
+from .cosets import Quotient, double, min_reps
 from .rootsys import RootSystem
 
 if TYPE_CHECKING:
@@ -90,17 +90,17 @@ def _catalogue(rs: RootSystem, q: Quotient, J: Iterable[int]):
     J = rs.simple_subset(J)
     require_faithful(rs, q.I)
     w_j, phi_j = rs.longest_word(J), rs.sub_system_mask(J)
-    cell_roots, lengths, dim_x = q.cell_roots, q.lengths, q.dim_x
+    cell_roots, words, dim_x = q.cell_roots, q.words, q.dim_x
     for w in double(rs, q, J):
         left = q.act(w_j, w)
-        yield w, left, (cell_roots[w] & phi_j).bit_count(), dim_x - lengths[left], lengths[w]
+        yield w, left, (cell_roots[w] & phi_j).bit_count(), dim_x - len(words[left]), len(words[w])
 
 
 def component_count(g: WeylGroup, I: Iterable[int], J: Iterable[int]) -> int:
     """Number of irreducible components over the stratum J (= |^J W^I|)."""
     I = g.rs.simple_subset(I)
     require_faithful(g.rs, I)
-    return len(double_min_reps(g, J, I))
+    return len(double(g.rs, min_reps(g, I).walk, J))
 
 
 def closed_fiber(g: WeylGroup, I: Iterable[int]) -> list[tuple[int, int]]:
@@ -124,23 +124,18 @@ def fixed_point_profile(g: WeylGroup, I: Iterable[int], w: int) -> set[tuple[int
     some x in W^I satisfies x <= u and v <= x.  The chain forces the result
     to be the singleton {(w, w)}; the scan verifies that on the nose.
 
-    Any such x satisfies x <= w <= x by transitivity, so x runs over the
-    meet of down(w), up(w) and W^I in the Bruhat matrix of g, and its pairs
-    are (up(x) meet down(w)) x (down(x) meet up(w)) within W^I.  This tests
-    the antisymmetry of the matrix rows: the meet is {w} exactly when no
-    other representative lies both below and above w.  The matrix has
-    |W|^2 bits, which is why ``sweep`` bounds |W|.
+    For a transitive order this is C x C, with C the meet of down(w), up(w)
+    and W^I in the Bruhat matrix of g: such a chain puts u and v in C, and
+    x = w covers C x C.  So it tests the antisymmetry of the matrix rows:
+    the meet is {w} exactly when no other representative lies both below
+    and above w.  The matrix has |W|^2 bits, which is why ``sweep`` bounds
+    |W|.
     """
     q = min_reps(g, g.rs.simple_subset(I))
     if w not in q:
         w = q.canonicalize(w)
-    rows, up = g.bruhat_rows(), g.bruhat_up_rows()
-    down_w = rows[w] & q.rep_mask
-    up_w = up[w] & q.rep_mask
-    out = set()
-    for x in _bits(down_w & up_w):
-        out.update(product(_bits(up[x] & down_w), _bits(rows[x] & up_w)))
-    return out
+    meet = _bits(g.bruhat_rows()[w] & g.bruhat_up_rows()[w] & q.rep_mask)
+    return set(product(meet, meet))
 
 
 def _bits(mask: int) -> list[int]:
@@ -153,23 +148,20 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def weight_set(g: WeylGroup, I: Iterable[int], w: int) -> frozenset[int]:
     """Torus weights on the total degeneration at the fixed point of w.
 
     Computed as the mask of Phi- minus w(Phi_I) from the permutation of
     ``generate``, which for a bijection is Phi- intersect w(Phi - Phi_I),
-    and again from the walk of W^I: its cell roots of w are
-    w(Phi- - Phi_I), which folded onto Phi- (r > 0 becomes -r) give the
-    same set.  The two routes must agree, and the set has exactly
-    dim G/P_I elements.
+    and again from the walk of W^I: the cell roots of the entry of w W_I
+    are w(Phi- - Phi_I), which folded onto Phi- (r > 0 becomes -r) give
+    the same set.  Both depend only on the coset.  The two routes must
+    agree, and the set has exactly dim G/P_I elements.
     """
     rs = g.rs
     I = rs.simple_subset(I)
     q = min_reps(g, I)
-    k = q.walk.act(g.words[w])
+    k = q.entry(w)
     perm = g.perms[q.reps[k]]
     n_pos = rs.n_positive
     pos = (1 << n_pos) - 1
@@ -180,5 +172,4 @@ def weight_set(g: WeylGroup, I: Iterable[int], w: int) -> frozenset[int]:
     cells = q.walk.cell_roots[k]
     if first != ((cells & pos) << n_pos) | (cells & ~pos):
         raise AssertionError(f"weight set expressions disagree for w={q.reps[k]}, I={sorted(I)}")
-    # the binary digits of the mask, lowest first, as bytes 0 and 1
-    return frozenset(compress(count(), bin(first)[:1:-1].encode().translate(_DIGITS)))
+    return frozenset(_bits(first))

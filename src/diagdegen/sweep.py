@@ -89,7 +89,8 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
     catalogued on that walk.  The component counts of every J are checked
     against the J-dominant weights of the orbit W·lambda_I
     (``oracles.double_coset_counts``), which reads no table of W; only the
-    closed fiber (J empty) is mapped to group ids, to compare it with
+    closed fiber (J empty) is read in group ids, by
+    ``degen.fiber_components``, to compare it with
     ``oracles.coset_min_reps``, the one labelling of W/W_I per I.
 
     Types whose Weyl group has more than ``ORDER_CAP`` elements are refused
@@ -120,8 +121,6 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
         counts_by_j: dict[frozenset[int], int] = {}
         for J in subsets:
             comps = degen.components(rs, walk, J)
-            if not J:
-                closed_comps = comps
             payload = {"I": payload_i, "J": sorted(J)}
 
             equidim.cases += len(comps)
@@ -155,11 +154,9 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
 
         # the closed fiber over J = {} against the coset oracle: (X-_w, X_w) per w
         closed.cases += 1
-        got = [degen.FiberComponent(reps[c.w], reps[c.left_index], *c[2:]) for c in closed_comps]
-        direct = [
-            degen.FiberComponent(w, w, 0, dim_x - g.lengths[w], g.lengths[w])
-            for w in oracles.coset_min_reps(g, I)
-        ]
+        got = degen.fiber_components(g, I, ())
+        lengths = g.lengths
+        direct = [(w, w, 0, dim_x - lengths[w], lengths[w]) for w in oracles.coset_min_reps(g, I)]
         if got != direct:
             closed.failures.append({"I": payload_i, "pairs": len(got), "direct": len(direct)})
 

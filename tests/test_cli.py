@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, determinism, schema-valid JSON."""
 
 import contextlib
+import errno
 import importlib.resources
 import importlib.util
 import io
@@ -389,6 +390,24 @@ def test_out_flag_file_equals_stdout(tmp_path, capsys):
     assert (code, out, err) == (0, "", "")
     assert target.read_text() == stdout
     assert os.listdir(tmp_path) == ["degen.txt"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_failed_stdout_write_exits_2_in_one_line():
+    # A full device, then a pipe whose reader is gone: one line and exit 2, and
+    # nothing more at exit, where the interpreter flushes stdout once again.
+    argv = [sys.executable, "-m", "diagdegen.cli", "roots", "A2"]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(argv, env=_child_env(), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (
+        2, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+    child = subprocess.Popen(argv, env=_child_env(), stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (
+        2, f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
 
 
 def test_out_flag_missing_directory_exits_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Component catalogues of the diagonal degenerations over every stratum."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SWEEP_TYPES, all_subsets, faithful_subsets, from_word
 from diagdegen import (
@@ -16,6 +18,7 @@ from diagdegen import (
 )
 from diagdegen import cosets, degen, oracles
 from diagdegen.sweep import run_sweep
+from diagdegen.weyl import WeylGroup
 
 
 def test_p1_total_degeneration(groups):
@@ -117,6 +120,49 @@ def test_fixed_point_profile_detects_a_non_antisymmetric_order(monkeypatch):
     profile = fixed_point_profile(g, {2}, w)
     assert profile != {(w, w)}
     assert {(u, u), (w, w), (u, w), (w, u)} <= profile
+
+
+def test_sweep_fixed_point_check_catches_a_non_antisymmetric_order(monkeypatch):
+    # Declare w <= u for representatives u < w of B3 / W_{2}: the meet of w
+    # then holds u, so the fixed-point check must fail, while the four other
+    # checks, which never read the Bruhat order, stay ok.
+    assert run_sweep("B3").ok
+    real_rows, real_up = WeylGroup.bruhat_rows, WeylGroup.bruhat_up_rows
+
+    def pair(g):
+        reps, rows = min_reps(g, {2}).reps, real_rows(g)
+        u = reps[1]
+        return u, next(w for w in reps if w != u and (rows[w] >> u) & 1)
+
+    def rows(g):
+        u, w = pair(g)
+        out = list(real_rows(g))
+        out[u] |= 1 << w
+        return out
+
+    def up(g):
+        u, w = pair(g)
+        out = list(real_up(g))
+        out[w] |= 1 << u
+        return out
+
+    monkeypatch.setattr(WeylGroup, "bruhat_rows", rows)
+    monkeypatch.setattr(WeylGroup, "bruhat_up_rows", up)
+    checks = {c.name: c for c in run_sweep("B3").checks}
+    assert checks.pop("fixed-point uniqueness").failures
+    assert all(c.ok for c in checks.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(type_str=st.sampled_from(["A2", "A3", "B2", "B3", "G2"]), data=st.data())
+def test_fixed_points_and_weights_of_any_id_are_those_of_its_coset(groups, type_str, data):
+    # Off W^I both functions read the walk entry of w W_I.
+    g = groups(type_str)
+    w = data.draw(st.integers(0, g.order - 1))
+    for I in faithful_subsets(g.rs):
+        c = min_reps(g, I).canonicalize(w)
+        assert weight_set(g, I, w) == weight_set(g, I, c)
+        assert fixed_point_profile(g, I, w) == {(c, c)}
 
 
 def test_weight_set_examples(groups):
