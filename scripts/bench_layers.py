@@ -56,7 +56,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from diagdegen import VARIANTS, cli, degen  # noqa: E402
 from diagdegen.cosets import quotient  # noqa: E402
-from diagdegen.projgor import gorenstein_obstruction  # noqa: E402
+from diagdegen.projgor import diag_hilbert_poly, gorenstein_obstruction  # noqa: E402
 from diagdegen.rootsys import all_subsets, build_root_system  # noqa: E402
 from diagdegen.sweep import ORDER_CAP, run_sweep  # noqa: E402
 
@@ -98,6 +98,7 @@ def _render_time(argv: list[str]) -> float:
     """Median time of parsing argv and rendering as cli._run does, the handler called beforehand."""
     ns = cli.parse_args(argv)
     payload, text = getattr(cli, f"_cmd_{ns.verb}")(ns)
+    payload["verb"] = ns.verb  # as cli._run adds it
     sink = _Sink()
 
     def parse_and_render() -> None:
@@ -136,7 +137,11 @@ def measure_quotient(type_str: str, I: tuple[int, ...]) -> dict:
 
 
 def measure_gorenstein(n: int) -> dict:
-    return {v: _median_time(lambda: gorenstein_obstruction(n, v)) for v in VARIANTS}
+    def call(variant: str) -> None:
+        diag_hilbert_poly.cache_clear()  # build h in each call, as a fresh process does
+        gorenstein_obstruction(n, variant)
+
+    return {v: _median_time(lambda: call(v)) for v in VARIANTS}
 
 
 def measure_startup() -> dict:

@@ -10,10 +10,10 @@ table of verbs, ``_GRAMMAR``, without argparse, whose import and parser
 construction cost a call about 6 ms.  Exit codes: 0 success, 1 sweep
 failures, 2 usage errors (any malformed argv, an unknown type or index, an
 ``--out`` path that is empty or cannot be written, and stdout that cannot be
-written), 3 domain errors (a
-size cap of ``rootsys`` or the sweep's; a non-faithful I; running out of
-memory anywhere in the call), 4 internal invariant failures.  Every error is
-one line on stderr.
+written), 3 domain errors (a size cap of ``rootsys``, of the sweep, or of
+``projgor`` for ``pn`` and ``gorenstein``, which build no root system; a
+non-faithful I; running out of memory anywhere in the call), 4 internal
+invariant failures.  Every error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import Callable, NamedTuple
 
 from . import VARIANTS, degen
 from .cosets import Quotient, quotient
-from .rootsys import DynkinError, RootSystem, WeylOrderCapError, build_root_system
+from .rootsys import (DynkinError, RootSystem, WeylOrderCapError, build_root_system,
+                      parse_dynkin, simple_subset)
 
 # json.encoder, tempfile, projgor, sweep and wonderful are imported by the code
 # paths that use them: each call runs in a fresh process, and most verbs need none.
@@ -150,7 +151,7 @@ def _usage(verb: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_subset(rs: RootSystem, text: str, flag: str) -> frozenset[int]:
+def _parse_subset(rank: int, text: str, flag: str) -> frozenset[int]:
     text = text.strip()
     if not text:
         return frozenset()
@@ -159,16 +160,16 @@ def _parse_subset(rs: RootSystem, text: str, flag: str) -> frozenset[int]:
     if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
         raise UsageError(f"--{flag}: expected comma-separated integers, got {text!r}")
     try:
-        return rs.simple_subset([int(part) for part in parts])
+        return simple_subset(rank, [int(part) for part in parts])
     except ValueError as exc:
         raise UsageError(f"--{flag}: {exc}") from None
 
 
-def _require_type_a(rs: RootSystem, verb: str) -> int:
-    components = rs.dynkin.components
-    if len(components) != 1 or components[0][0] != "A":
-        raise UsageError(f"{verb} requires an irreducible type A_n, got {rs.dynkin}")
-    return components[0][1]
+def _require_type_a(ns: Args) -> int:
+    dynkin = parse_dynkin(ns.type)
+    if [family for family, _ in dynkin.components] != ["A"]:
+        raise UsageError(f"{ns.verb} requires an irreducible type A_n, got {dynkin}")
+    return dynkin.rank
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -182,8 +183,8 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 # -- verb handlers -----------------------------------------------------------
 #
-# Each handler returns its JSON payload and a function that renders the text
-# output, so the text is only built when it is printed.
+# Each handler returns its JSON payload, less the "verb" that ``_run`` adds, and
+# a function that renders the text output, so the text is only built when printed.
 
 Rendered = tuple[dict, Callable[[], str]]
 
@@ -191,7 +192,6 @@ Rendered = tuple[dict, Callable[[], str]]
 def _cmd_roots(ns) -> Rendered:
     rs = build_root_system(ns.type)
     payload = {
-        "verb": "roots",
         "type": str(rs.dynkin),
         "rank": rs.rank,
         "cartan": [list(row) for row in rs.cartan],
@@ -219,7 +219,6 @@ def _cmd_weyl(ns) -> Rendered:
     if len(word) != rs.n_positive:
         raise RuntimeError(f"{rs.dynkin}: longest word has length {len(word)}, not |Phi+|")
     payload = {
-        "verb": "weyl",
         "type": str(rs.dynkin),
         "order": rs.dynkin.weyl_order(),
         "n_positive": rs.n_positive,
@@ -237,10 +236,9 @@ def _cmd_weyl(ns) -> Rendered:
 
 def _cmd_cosets(ns) -> Rendered:
     rs = build_root_system(ns.type)
-    I = _parse_subset(rs, ns.I, "I")
+    I = _parse_subset(rs.rank, ns.I, "I")
     q = quotient(rs, I)
     payload = {
-        "verb": "cosets",
         "type": str(rs.dynkin),
         "I": sorted(I),
         "dim_x": q.dim_x,
@@ -265,7 +263,6 @@ def _cmd_orbits(ns) -> Rendered:
     rs = build_root_system(ns.type)
     lattice = orbit_lattice(rs)
     payload = {
-        "verb": "orbits",
         "type": str(rs.dynkin),
         "dim_g": rs.n_roots + rs.rank,
         "orbits": [
@@ -321,13 +318,12 @@ def _components_text(components: list[dict], head: str) -> str:
 
 def _cmd_degen(ns) -> Rendered:
     rs = build_root_system(ns.type)
-    I = _parse_subset(rs, ns.I, "I")
-    J = _parse_subset(rs, ns.J, "J")
+    I = _parse_subset(rs.rank, ns.I, "I")
+    J = _parse_subset(rs.rank, ns.J, "J")
     degen.require_faithful(rs, I)  # before the walk, which may be over SIZE_CAP
     q = quotient(rs, I)
     comps = _components_payload(rs, q, J)
     payload = {
-        "verb": "degen",
         "type": str(rs.dynkin),
         "I": sorted(I),
         "J": sorted(J),
@@ -343,10 +339,9 @@ def _cmd_degen(ns) -> Rendered:
 
 def _cmd_flagdegen(ns) -> Rendered:
     rs = build_root_system(ns.type)
-    J = _parse_subset(rs, ns.J, "J")
+    J = _parse_subset(rs.rank, ns.J, "J")
     comps = _components_payload(rs, quotient(rs, frozenset()), J)
     payload = {
-        "verb": "flagdegen",
         "type": str(rs.dynkin),
         "J": sorted(J),
         "components": comps,
@@ -361,13 +356,12 @@ def _cmd_flagdegen(ns) -> Rendered:
 def _cmd_pn(ns) -> Rendered:
     from . import projgor
 
-    rs = build_root_system(ns.type)
-    n = _require_type_a(rs, "pn")
-    J = _parse_subset(rs, ns.J, "J")
+    n = _require_type_a(ns)
+    projgor.require_under_cap(n)  # before J, as build_root_system is for the other verbs
+    J = _parse_subset(n, ns.J, "J")
     comp = projgor.composition_from_J(n, J)
     components = projgor.pn_components(comp)
     payload = {
-        "verb": "pn",
         "n": n,
         "J": sorted(J),
         "blocks": list(comp.blocks),
@@ -402,33 +396,21 @@ def _cmd_pn(ns) -> Rendered:
 def _cmd_gorenstein(ns) -> Rendered:
     from . import projgor
 
-    rs = build_root_system(ns.type)
-    n = _require_type_a(rs, "gorenstein")
-    h = projgor.diag_hilbert_poly(n)
+    n = _require_type_a(ns)
     p = projgor.gorenstein_obstruction(n, ns.variant)
-    payload = {
-        "verb": "gorenstein",
-        "n": n,
-        "variant": ns.variant,
-        "p": p,
-        "hilbert": h.json_coeffs(),
-    }
-
-    def text() -> str:
-        return (
-            f"P^{n}: Hilbert polynomial coefficients {h.json_coeffs()}\n"
-            f"variant {ns.variant}: "
-            + (f"p = {p}\n" if p is not None else "no integer p (Gorenstein obstructed)\n")
-        )
-
-    return payload, text
+    h = projgor.diag_hilbert_poly(n)  # the one gorenstein_obstruction built
+    payload = {"n": n, "variant": ns.variant, "p": p, "hilbert": h.json_coeffs()}
+    return payload, lambda: (
+        f"P^{n}: Hilbert polynomial coefficients {payload['hilbert']}\n"
+        f"variant {ns.variant}: "
+        + (f"p = {p}\n" if p is not None else "no integer p (Gorenstein obstructed)\n"))
 
 
 def _cmd_sweep(ns) -> Rendered:
     from .sweep import run_sweep
 
     report = run_sweep(ns.type)
-    return {"verb": "sweep"} | report.to_json_obj(), report.format_text
+    return report.to_json_obj(), report.format_text
 
 
 _GRAMMAR = {
@@ -544,6 +526,7 @@ def _run(argv: list[str] | None) -> int:
         rendered, code = _usage(ns.verb), 0
     else:
         payload, text = _GRAMMAR[ns.verb].handler(ns)
+        payload["verb"] = ns.verb
         rendered = _render_json(payload) + "\n" if ns.json else text()
         code = 1 if ns.verb == "sweep" and not payload["ok"] else 0
     try:

@@ -16,6 +16,7 @@ root against the j-th simple coroot, so the simple reflection acts by
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
@@ -41,8 +42,8 @@ class WeylOrderCapError(ValueError):
     """Raised when a requested type exceeds a size cap.
 
     The caps are the number of roots (``ROOT_CAP``), the number of objects
-    a layer lists (``SIZE_CAP``: |W|, |W^I| or 2^rank) and the lower order
-    cap of the sweep (``sweep.ORDER_CAP``).
+    a layer lists (``SIZE_CAP``: |W|, |W^I| or 2^rank), the lower order
+    cap of the sweep (``sweep.ORDER_CAP``) and the n of P^n (``projgor.N_CAP``).
     """
 
 
@@ -129,6 +130,16 @@ def all_subsets(rank: int) -> list[frozenset[int]]:
     ]
 
 
+def simple_subset(rank: int, indices: Iterable[int]) -> frozenset[int]:
+    """Validate a subset of 1..rank; the ValueError names the first index out of range."""
+    if type(indices) is not frozenset:  # a frozenset comes back as is, hash cached
+        indices = tuple(indices)
+    for i in indices:
+        if not isinstance(i, int) or not 1 <= i <= rank:
+            raise ValueError(f"index {i!r} out of range 1..{rank}")
+    return frozenset(indices)
+
+
 def parse_dynkin(text: str) -> DynkinType:
     """Parse a type string like ``"A3"`` or ``"B2xA1"`` into a DynkinType."""
     if not isinstance(text, str) or not text.strip():
@@ -212,6 +223,8 @@ class RootSystem:
         self.dynkin = dynkin
         self.cartan = cartan
         self.rank = dynkin.rank
+        # A partial costs a call no more than a method: the sweep makes ~10^4 calls.
+        self.simple_subset = partial(simple_subset, self.rank)
         self.n_positive = len(positives)
         roots = list(positives) + [tuple(-c for c in r) for r in positives]
         self.roots: tuple[Coords, ...] = tuple(roots)
@@ -259,18 +272,6 @@ class RootSystem:
 
     def positive_indices(self) -> range:
         return range(self.n_positive)
-
-    def simple_subset(self, indices: Iterable[int]) -> frozenset[int]:
-        """Validate and normalize a subset of 1-based simple-root indices.
-
-        The ValueError names the first index out of range in the order given.
-        """
-        if type(indices) is not frozenset:  # a frozenset comes back as is, hash cached
-            indices = tuple(indices)
-        for i in indices:
-            if not isinstance(i, int) or not 1 <= i <= self.rank:
-                raise ValueError(f"index {i!r} out of range 1..{self.rank}")
-        return frozenset(indices)
 
     def delta(self) -> frozenset[int]:
         return frozenset(range(1, self.rank + 1))

@@ -358,6 +358,112 @@ def test_subset_parts_may_carry_spaces(capsys):
         run_capture(capsys, ["degen", "A2", "--I", "2", "--J", "1,2"])
 
 
+# -- pn and gorenstein: n from the parsed type, bounded by projgor.N_CAP ------
+
+@pytest.mark.parametrize("argv,digest", [
+    (["pn", "A3", "--J", "1,2"], "db101c888c2f47cb9b9198c0d4db9b1d0f5654d16811d25a0b02bd9be97a9e88"),
+    (["pn", "A12", "--J", "1"], "61515780fad2ef911259bbe6c39c9d73cbd94f6575bcad8ef6652ded30a7759d"),
+    (["gorenstein", "A9", "--variant", "signed"],
+     "edcc14130e7e2dac27966798b1798aafbe09b10417e57823602dceebc67fe2e8"),
+], ids=" ".join)
+def test_pn_and_gorenstein_build_no_root_system(monkeypatch, capsys, argv, digest):
+    # The digests pin the text these calls printed while they still built A_n's roots.
+    import hashlib
+
+    def refuse(t):
+        raise AssertionError("pn and gorenstein must not build a root system")
+
+    monkeypatch.setattr("diagdegen.rootsys.build_root_system", refuse)
+    monkeypatch.setattr(cli, "build_root_system", refuse)
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pn_json_equals_the_closed_forms_past_the_root_cap(capsys):
+    from diagdegen.projgor import composition_from_J, pn_components
+
+    code, out, err = run_capture(capsys, ["pn", "A20", "--J", "1,5,9", "--json"])
+    assert (code, err) == (0, "")
+    comp = composition_from_J(20, {1, 5, 9})
+    got = json.loads(out)
+    assert (got["n"], got["J"], got["blocks"]) == (20, [1, 5, 9], list(comp.blocks))
+    assert [(c["i"], c["w_value"], c["smooth"], c["blowup_end"], c["dims"]["x"], c["dims"]["y"],
+             c["dims"]["fiber"]) for c in got["components"]] == \
+        [(c.i, c.w_value, c.smooth, c.blowup_end, c.x_dim, c.y_dim, c.fiber_dim)
+         for c in pn_components(comp)]
+
+
+@pytest.mark.parametrize("n,variant,p", [
+    (17, "signed", -9), (17, "paper", None), (16, "signed", None), (16, "paper", None),
+])
+def test_gorenstein_past_the_root_cap(capsys, n, variant, p):
+    code, out, err = run_capture(capsys, ["gorenstein", f"A{n}", "--variant", variant, "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["p"] == p
+
+
+def test_gorenstein_builds_the_hilbert_polynomial_once(capsys):
+    from diagdegen.projgor import diag_hilbert_poly
+
+    diag_hilbert_poly.cache_clear()
+    assert run_capture(capsys, ["gorenstein", "A9"])[0] == 0
+    assert (diag_hilbert_poly.cache_info().hits, diag_hilbert_poly.cache_info().misses) == (1, 1)
+
+
+@pytest.mark.parametrize("argv", [["pn", "B20", "--J", "1"], ["gorenstein", "B20"]], ids=" ".join)
+def test_pn_and_gorenstein_name_type_a_before_any_cap(capsys, argv):
+    # B20 has 800 roots, over the root cap, but these verbs build no roots.
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} requires an irreducible type A_n, got B20\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pn", "A100000", "--J", "1"], ["gorenstein", "A1000"], ["pn", "A129", "--J", "200"],
+    ["pn", "A" + "1" * 25, "--J", "1"], ["gorenstein", "A" + "1" * 25, "--variant", "signed"],
+], ids=" ".join)
+def test_pn_and_gorenstein_over_their_cap_are_refused_cheaply(capsys, argv):
+    # The cap is checked from n before --J is read, as the root cap is for the other verbs.
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: P^{argv[1][1:]}: n exceeds cap 128\n"
+
+
+def test_pn_over_its_cap_is_refused_in_a_small_address_space():
+    start = time.perf_counter()
+    done = _run_capped(["pn", "A100000", "--J", "1"], 100)
+    assert time.perf_counter() - start < 1.0
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: P^100000: n exceeds cap 128\n"
+
+
+def test_pn_and_gorenstein_admit_their_cap(capsys):
+    assert run_capture(capsys, ["pn", "A128", "--J", ""])[0] == 0
+    code, out, err = run_capture(capsys, ["gorenstein", "A127", "--variant", "signed", "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["p"] == -64
+
+
+@pytest.mark.parametrize("text,message", [
+    ("5", "index 5 out of range 1..3"),
+    ("5,0", "index 5 out of range 1..3"),
+    ("-1", "index -1 out of range 1..3"),
+    ("1_2", "expected comma-separated integers, got '1_2'"),
+])
+def test_pn_subset_errors_name_n(capsys, text, message):
+    assert run_capture(capsys, ["pn", "A3", "--J", text]) == (2, "", f"error: --J: {message}\n")
+
+
+def test_payloads_get_their_verb_from_the_grammar_key(capsys):
+    for argv in JSON_COMMANDS:
+        ns = cli.parse_args(argv)
+        assert "verb" not in cli._GRAMMAR[ns.verb].handler(ns)[0]
+        assert json.loads(run_capture(capsys, argv + ["--json"])[1])["verb"] == argv[0]
+
+
 def test_sweep_reports_pass(capsys):
     code, out, _ = run_capture(capsys, ["sweep", "A2"])
     assert code == 0
@@ -576,7 +682,7 @@ def test_any_argv_exits_cleanly_and_deterministically(verb, type_str, options):
 
 def _payload(argv):
     ns = cli.parse_args(argv)
-    return cli._GRAMMAR[ns.verb].handler(ns)[0]
+    return cli._GRAMMAR[ns.verb].handler(ns)[0] | {"verb": ns.verb}  # as cli._run adds it
 
 
 def _dumps(value):

@@ -19,6 +19,8 @@ from diagdegen import (
     pn_components,
 )
 from diagdegen.oracles import one_line_permutation
+from diagdegen.projgor import N_CAP, require_under_cap
+from diagdegen.rootsys import WeylOrderCapError
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys = st.lists(fractions, max_size=6).map(RationalPolynomial.from_coeffs)
@@ -159,6 +161,13 @@ def test_gorenstein_both_variants(n):
 def test_gorenstein_matches_closed_form_beyond_the_cli_range(n):
     assert gorenstein_obstruction(n, "paper") is None
     assert gorenstein_obstruction(n, "signed") == (-(n + 1) // 2 if n % 2 == 1 else None)
+
+
+@pytest.mark.parametrize("call", [diag_hilbert_poly, gorenstein_obstruction, require_under_cap])
+def test_n_over_the_cap_is_refused_before_any_work(call):
+    with pytest.raises(WeylOrderCapError, match=f"P\\^{N_CAP + 1}: n exceeds cap {N_CAP}"):
+        call(N_CAP + 1)
+    require_under_cap(N_CAP)
 
 
 def test_gorenstein_rejects_unknown_variant():
