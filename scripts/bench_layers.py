@@ -56,7 +56,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from diagdegen import VARIANTS, cli, degen  # noqa: E402
 from diagdegen.cosets import quotient  # noqa: E402
-from diagdegen.projgor import diag_hilbert_poly, gorenstein_obstruction  # noqa: E402
+from diagdegen.projgor import gorenstein_obstruction  # noqa: E402
 from diagdegen.rootsys import all_subsets, build_root_system  # noqa: E402
 from diagdegen.sweep import ORDER_CAP, run_sweep  # noqa: E402
 
@@ -137,11 +137,8 @@ def measure_quotient(type_str: str, I: tuple[int, ...]) -> dict:
 
 
 def measure_gorenstein(n: int) -> dict:
-    def call(variant: str) -> None:
-        diag_hilbert_poly.cache_clear()  # build h in each call, as a fresh process does
-        gorenstein_obstruction(n, variant)
-
-    return {v: _median_time(lambda: call(v)) for v in VARIANTS}
+    """Median time of ``gorenstein_obstruction(n, variant)``, per variant; it keeps no cache."""
+    return {v: _median_time(lambda: gorenstein_obstruction(n, v)) for v in VARIANTS}
 
 
 def measure_startup() -> dict:

@@ -37,11 +37,15 @@ class Verb(NamedTuple):
     help: str
     handler: Callable[[Args], Rendered]
     takes: tuple[str, ...] = ()
-    required: tuple[str, ...] = ()
 
     @property
     def options(self) -> tuple[str, ...]:
         return self.takes + ("json", "out")
+
+    @property
+    def required(self) -> tuple[str, ...]:
+        """The options it takes that have no default in ``Args``."""
+        return tuple(n for n in self.takes if Args._field_defaults[n] is None)
 
 
 #: Option name -> (metavar, help), in the order of the grammar; --json is the one flag.
@@ -398,7 +402,7 @@ def _cmd_gorenstein(ns) -> Rendered:
 
     n = _require_type_a(ns)
     p = projgor.gorenstein_obstruction(n, ns.variant)
-    h = projgor.diag_hilbert_poly(n)  # the one gorenstein_obstruction built
+    h = projgor.diag_hilbert_poly(n)
     payload = {"n": n, "variant": ns.variant, "p": p, "hilbert": h.json_coeffs()}
     return payload, lambda: (
         f"P^{n}: Hilbert polynomial coefficients {payload['hilbert']}\n"
@@ -416,14 +420,11 @@ def _cmd_sweep(ns) -> Rendered:
 _GRAMMAR = {
     "roots": Verb("list the roots of a type", _cmd_roots),
     "weyl": Verb("Weyl group summary", _cmd_weyl),
-    "cosets": Verb("minimal coset representatives and cell dimensions", _cmd_cosets,
-                   ("I",), ("I",)),
+    "cosets": Verb("minimal coset representatives and cell dimensions", _cmd_cosets, ("I",)),
     "orbits": Verb("orbit lattice of the wonderful compactification", _cmd_orbits),
-    "degen": Verb("degeneration components over a stratum", _cmd_degen,
-                  ("I", "J"), ("I", "J")),
-    "flagdegen": Verb("degeneration components for the full flag variety", _cmd_flagdegen,
-                      ("J",), ("J",)),
-    "pn": Verb("projective-space closed forms (type A_n)", _cmd_pn, ("J",), ("J",)),
+    "degen": Verb("degeneration components over a stratum", _cmd_degen, ("I", "J")),
+    "flagdegen": Verb("degeneration components for the full flag variety", _cmd_flagdegen, ("J",)),
+    "pn": Verb("projective-space closed forms (type A_n)", _cmd_pn, ("J",)),
     "gorenstein": Verb("Hilbert polynomial and Gorenstein obstruction (type A_n)",
                        _cmd_gorenstein, ("variant",)),
     "sweep": Verb("run every invariant check over all faithful I and all J", _cmd_sweep),

@@ -16,17 +16,17 @@ polynomial h(m) = (2m+1)...(2m+n)/n! would have to satisfy
 h(-m) = h(m + p) for an integer p, which fails for even n.  The "signed"
 variant adds the (-1)^n duality factor and has the solution p = -(n+1)/2
 for odd n.  Both sides have degree n in m, so the identity is checked at
-the n + 1 points m = 0, ..., n.  Arithmetic is exact over Fractions.
+the n + 1 points m = 0, ..., n, in integers: one integer product gives the
+coefficients of n! h, and the common factor n! does not change which p match.
 
 All of it depends on n alone, so ``pn`` and ``gorenstein`` build no root system.
-Their bound ``N_CAP`` is checked from n before any work; ``gorenstein``'s exact
-arithmetic costs about n^3, and at the cap a call still answers in under a second.
+Their bound ``N_CAP`` is checked from n before any work; ``gorenstein``'s 5n + 1
+values of n! h cost about n^3, and at the cap a call still answers in under a second.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Iterable, NamedTuple
 
@@ -34,13 +34,14 @@ from . import VARIANTS
 from .rootsys import WeylOrderCapError, simple_subset
 
 #: Largest n of ``pn`` and ``gorenstein``.  In process on a 2-vCPU x86-64 host (Python 3.11)
-#: ``gorenstein``'s work took 0.10 s at n = 60, 0.37-0.46 s at 100, 0.61-0.96 s at 128,
-#: 1.0-1.1 s at 150 and 2.4-2.8 s at 200.
-N_CAP = 128
+#: ``gorenstein A<n>`` (``cli.run``, text or JSON, either variant) took 0.004 s at n = 60,
+#: 0.02 s at 128, 0.1 s at 256 and 0.5-0.8 s at 511 and 512.  Its largest printed integer
+#: has 1 013 digits at 512, under the 4 300 that ``str`` of an int accepts.
+N_CAP = 512
 
 
 def require_under_cap(n: int) -> None:
-    """Refuse n over ``N_CAP``; ``diag_hilbert_poly`` calls it, and ``pn`` before it reads J."""
+    """Refuse n over ``N_CAP``; ``_hilbert_numerators`` calls it, and ``pn`` before it reads J."""
     if n > N_CAP:
         raise WeylOrderCapError(f"P^{n}: n exceeds cap {N_CAP}")
 
@@ -60,27 +61,6 @@ class RationalPolynomial(NamedTuple):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return RationalPolynomial.from_coeffs(out)
-
-    def __mul__(self, other: "RationalPolynomial | Fraction | int") -> "RationalPolynomial":
-        if isinstance(other, (Fraction, int)):
-            return RationalPolynomial.from_coeffs(c * other for c in self.coeffs)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RationalPolynomial.from_coeffs(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, x: Fraction | int) -> Fraction:
         acc = Fraction(0)
@@ -176,16 +156,21 @@ def pairwise_intersection_dim(c: Composition, i: int) -> int:
     return left + right
 
 
-@lru_cache(maxsize=1)  # gorenstein prints the h that gorenstein_obstruction built
-def diag_hilbert_poly(n: int) -> RationalPolynomial:
-    """Hilbert polynomial (2m+1)(2m+2)...(2m+n)/n! of every degeneration."""
+def _hilbert_numerators(n: int) -> list[int]:
+    """Ascending integer coefficients of (2m+1)(2m+2)...(2m+n), that is n! h(m)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     require_under_cap(n)
-    poly = RationalPolynomial.from_coeffs([1])
+    c = [1]
     for i in range(1, n + 1):
-        poly = poly * RationalPolynomial.from_coeffs([i, 2])
-    return poly * Fraction(1, factorial(n))
+        c = [i * a + 2 * b for a, b in zip(c + [0], [0] + c)]
+    return c
+
+
+def diag_hilbert_poly(n: int) -> RationalPolynomial:
+    """Hilbert polynomial (2m+1)(2m+2)...(2m+n)/n! of every degeneration."""
+    numerators, d = _hilbert_numerators(n), factorial(n)  # the cap first
+    return RationalPolynomial.from_coeffs(Fraction(c, d) for c in numerators)
 
 
 def _obstruction_by_roots(n: int, variant: str) -> int | None:
@@ -208,13 +193,20 @@ def gorenstein_obstruction(n: int, variant: str = "paper") -> int | None:
     the duality factor (-1)^n on the right-hand side.  Both sides have
     degree n in m, so p is accepted iff they agree at the n + 1 points
     m = 0, ..., n; an exhaustive scan of p in [-2n, 2n] reads one table
-    of h(k), k = -2n, ..., 3n, and is compared against the root-matching
-    shortcut.
+    of n! h(k) in integers, k = -2n, ..., 3n, and is compared against the
+    root-matching shortcut.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    h = diag_hilbert_poly(n)
-    values = {k: h(k) for k in range(-2 * n, 3 * n + 1)}
+    coeffs = _hilbert_numerators(n)[::-1]
+
+    def value(k: int) -> int:
+        acc = 0
+        for c in coeffs:
+            acc = acc * k + c
+        return acc
+
+    values = {k: value(k) for k in range(-2 * n, 3 * n + 1)}
     sign = (-1) ** n if variant == "signed" else 1
     matches = [
         p for p in range(-2 * n, 2 * n + 1)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import diagdegen
 from diagdegen import cli, degen, oracles
 from diagdegen.cli import run
+from diagdegen.projgor import N_CAP
 from diagdegen.sweep import run_sweep
 
 
@@ -403,12 +404,23 @@ def test_gorenstein_past_the_root_cap(capsys, n, variant, p):
     assert json.loads(out)["p"] == p
 
 
-def test_gorenstein_builds_the_hilbert_polynomial_once(capsys):
-    from diagdegen.projgor import diag_hilbert_poly
+def test_gorenstein_checks_the_coefficients_it_prints(monkeypatch, capsys):
+    # One coefficient off by one breaks the identity the p-scan looks for,
+    # and the root-matching cross-check catches the disagreement.
+    from diagdegen import projgor
 
-    diag_hilbert_poly.cache_clear()
-    assert run_capture(capsys, ["gorenstein", "A9"])[0] == 0
-    assert (diag_hilbert_poly.cache_info().hits, diag_hilbert_poly.cache_info().misses) == (1, 1)
+    numerators = projgor._hilbert_numerators
+
+    def off_by_one(n):
+        c = numerators(n)
+        c[1] += 1
+        return c
+
+    monkeypatch.setattr(projgor, "_hilbert_numerators", off_by_one)
+    code, out, err = run_capture(capsys, ["gorenstein", "A9", "--variant", "signed"])
+    assert (code, out) == (4, "")
+    assert err == ("error: internal invariant failed: "
+                   "p-scan (None) and root matching (-5) disagree for n=9\n")
 
 
 @pytest.mark.parametrize("argv", [["pn", "B20", "--J", "1"], ["gorenstein", "B20"]], ids=" ".join)
@@ -420,7 +432,8 @@ def test_pn_and_gorenstein_name_type_a_before_any_cap(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["pn", "A100000", "--J", "1"], ["gorenstein", "A1000"], ["pn", "A129", "--J", "200"],
+    ["pn", "A100000", "--J", "1"], ["gorenstein", "A1000"],
+    ["pn", f"A{N_CAP + 1}", "--J", str(2 * N_CAP)],
     ["pn", "A" + "1" * 25, "--J", "1"], ["gorenstein", "A" + "1" * 25, "--variant", "signed"],
 ], ids=" ".join)
 def test_pn_and_gorenstein_over_their_cap_are_refused_cheaply(capsys, argv):
@@ -429,7 +442,7 @@ def test_pn_and_gorenstein_over_their_cap_are_refused_cheaply(capsys, argv):
     code, out, err = run_capture(capsys, argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert err == f"error: P^{argv[1][1:]}: n exceeds cap 128\n"
+    assert err == f"error: P^{argv[1][1:]}: n exceeds cap {N_CAP}\n"
 
 
 def test_pn_over_its_cap_is_refused_in_a_small_address_space():
@@ -437,14 +450,20 @@ def test_pn_over_its_cap_is_refused_in_a_small_address_space():
     done = _run_capped(["pn", "A100000", "--J", "1"], 100)
     assert time.perf_counter() - start < 1.0
     assert (done.returncode, done.stdout) == (3, "")
-    assert done.stderr == "error: P^100000: n exceeds cap 128\n"
+    assert done.stderr == f"error: P^100000: n exceeds cap {N_CAP}\n"
 
 
 def test_pn_and_gorenstein_admit_their_cap(capsys):
-    assert run_capture(capsys, ["pn", "A128", "--J", ""])[0] == 0
-    code, out, err = run_capture(capsys, ["gorenstein", "A127", "--variant", "signed", "--json"])
+    assert run_capture(capsys, ["pn", f"A{N_CAP}", "--J", ""])[0] == 0
+    argv = ["gorenstein", f"A{N_CAP}", "--variant", "signed"]
+    p = -(N_CAP + 1) // 2 if N_CAP % 2 else None
+    code, out, err = run_capture(capsys, argv)
     assert (code, err) == (0, "")
-    assert json.loads(out)["p"] == -64
+    assert out.endswith(f"variant signed: p = {p}\n" if p is not None
+                        else "variant signed: no integer p (Gorenstein obstructed)\n")
+    code, out, err = run_capture(capsys, argv + ["--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["p"] == p
 
 
 @pytest.mark.parametrize("text,message", [
