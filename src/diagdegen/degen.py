@@ -12,10 +12,13 @@ pure of dimension dim X; its dimension splits as the Levi quotient part
 The Schubert index of w_J w is always canonicalized into W^I first, since
 the corresponding fixed point only depends on the coset.
 
-All functions require the adjoint group to act faithfully on X, i.e.
-``rs.is_faithful(I)``; the closed-stratum fiber (J empty) specializes to
-the union of X-_w x X_w over w in W^I, and the open stratum (J = Delta)
-gives back the diagonal as a single component.
+The catalogue functions (:func:`components`, :func:`fiber_components`,
+:func:`component_count` and :func:`closed_fiber`) require the adjoint
+group to act faithfully on X, i.e. ``rs.is_faithful(I)``, and raise
+:class:`UnfaithfulActionError` otherwise; :func:`fixed_point_profile`
+and :func:`weight_set` do not check it.  The closed-stratum fiber (J
+empty) specializes to the union of X-_w x X_w over w in W^I, and the
+open stratum (J = Delta) gives back the diagonal as a single component.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ def fixed_point_profile(g: WeylGroup, I: Iterable[int], w: int) -> set[tuple[int
     and above w.  The matrix has |W|^2 bits, which is why ``sweep`` bounds
     |W|.
     """
-    q = min_reps(g, g.rs.simple_subset(I))
+    q = min_reps(g, I)
     if w not in q:
         w = q.canonicalize(w)
     meet = _bits(g.bruhat_rows()[w] & g.bruhat_up_rows()[w] & q.rep_mask)
@@ -159,17 +162,16 @@ def weight_set(g: WeylGroup, I: Iterable[int], w: int) -> frozenset[int]:
     agree, and the set has exactly dim G/P_I elements.
     """
     rs = g.rs
-    I = rs.simple_subset(I)
     q = min_reps(g, I)
     k = q.entry(w)
     perm = g.perms[q.reps[k]]
     n_pos = rs.n_positive
     pos = (1 << n_pos) - 1
     image = 0
-    for a in rs.sub_system(I):
+    for a in rs.sub_system(q.I):
         image |= 1 << perm[a]
     first = (pos << n_pos) & ~image
     cells = q.walk.cell_roots[k]
     if first != ((cells & pos) << n_pos) | (cells & ~pos):
-        raise AssertionError(f"weight set expressions disagree for w={q.reps[k]}, I={sorted(I)}")
+        raise AssertionError(f"weight set expressions disagree for w={q.reps[k]}, I={sorted(q.I)}")
     return frozenset(_bits(first))

@@ -3,8 +3,9 @@
 Everything here recomputes a quantity by a route independent of the
 production code path, which walks W^I (:func:`diagdegen.cosets.quotient`):
 
-* cosets and double cosets by generator closure in W (``coset_min_reps``,
-  ``double_cosets``), instead of the walk's positivity filters;
+* cosets and double cosets by generator closure in W, instead of the
+  walk's positivity filters: ``coset_min_reps(g, I, J)`` reads the least
+  id of each block of W_J\\W/W_I, ``double_cosets`` lists the blocks;
 * the double-coset counts of every J from the weight orbit W·lambda_I
   (``double_coset_counts``), which needs no W;
 * Bruhat order by reflection-cover closure instead of subword tests;
@@ -99,9 +100,13 @@ def _coset_labels(g: WeylGroup, I: Iterable[int],
     return label, least
 
 
-def coset_min_reps(g: WeylGroup, I: Iterable[int]) -> tuple[int, ...]:
-    """Minimal representatives of W/W_I: the least element of each coset label."""
-    return tuple(_coset_labels(g, I)[1])
+def coset_min_reps(g: WeylGroup, I: Iterable[int], J: Iterable[int] = ()) -> tuple[int, ...]:
+    """Minimal representatives of W_J\\W/W_I, or of W/W_I for J empty.
+
+    The least id of each label of :func:`_coset_labels`; labels are numbered
+    by their least ids, so the tuple is sorted.
+    """
+    return tuple(_coset_labels(g, I, J)[1])
 
 
 def double_cosets(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> list[frozenset[int]]:
@@ -135,15 +140,6 @@ def double_coset_counts(rs: RootSystem, I: Iterable[int]) -> dict[frozenset[int]
     return {J: tally[full ^ sum(1 << (j - 1) for j in J)] for J in all_subsets(rs.rank)}
 
 
-def double_coset_min_reps(g: WeylGroup, J: Iterable[int], I: Iterable[int]) -> tuple[int, ...]:
-    """Minimal double-coset representatives, from the explicit partition."""
-    reps = [
-        min(block, key=lambda u: (g.lengths[u], u))
-        for block in double_cosets(g, J, I)
-    ]
-    return tuple(sorted(reps))
-
-
 def reflection_ids(g: WeylGroup) -> tuple[int, ...]:
     """Ids of the reflections, aligned with the positive root indices.
 
@@ -172,16 +168,18 @@ def bruhat_rows_by_covers(g: WeylGroup) -> list[int]:
 
     An element covers u exactly when it equals t*u for a reflection t and
     is one longer; rows are bitmasks with bit u of row w set iff u <= w.
-    This route never looks at reduced words.
+    This route reads lengths (``len(g.words[w])``) and products, and never
+    the subword property.
     """
     reflections = reflection_ids(g)
+    words = g.words
     rows = [0] * g.order
     for w in range(g.order):  # ids are sorted by length
         acc = 1 << w
-        lw = g.lengths[w]
+        below = len(words[w]) - 1
         for t in reflections:
             u = g.multiply(t, w)
-            if g.lengths[u] == lw - 1:
+            if len(words[u]) == below:
                 acc |= rows[u]
         rows[w] = acc
     return rows

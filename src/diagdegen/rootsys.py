@@ -395,25 +395,12 @@ class RootSystem:
                     return ("B", k)
                 return ("C", k)
             return ("F", 4)
-        branch = [a for a in nodes if len(neighbors[a]) == 3]
-        if not branch:
+        branch = next((a for a in nodes if len(neighbors[a]) == 3), None)
+        if branch is None:
             return ("A", k)
-        center = branch[0]
-        arms = sorted(self._arm_length(center, first, neighbors) for first in neighbors[center])
-        if arms[0] == 1 and arms[1] == 1:
-            return ("D", k)
-        return ("E", k)
-
-    @staticmethod
-    def _arm_length(center: int, first: int, neighbors: dict[int, list[int]]) -> int:
-        length = 1
-        prev, cur = center, first
-        while True:
-            nxt = [b for b in neighbors[cur] if b != prev]
-            if not nxt:
-                return length
-            prev, cur = cur, nxt[0]
-            length += 1
+        # D_k has two leaves beside its branch node (three in D4), E_k one.
+        leaves = sum(b in ends for b in neighbors[branch])
+        return ("D", k) if leaves >= 2 else ("E", k)
 
 
 def build_root_system(t: DynkinType | str) -> RootSystem:

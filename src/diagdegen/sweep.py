@@ -155,8 +155,9 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
         # the closed fiber over J = {} against the coset oracle: (X-_w, X_w) per w
         closed.cases += 1
         got = degen.fiber_components(g, I, ())
-        lengths = g.lengths
-        direct = [(w, w, 0, dim_x - lengths[w], lengths[w]) for w in oracles.coset_min_reps(g, I)]
+        words = g.words
+        direct = [(w, w, 0, dim_x - len(words[w]), len(words[w]))
+                  for w in oracles.coset_min_reps(g, I)]
         if got != direct:
             closed.failures.append({"I": payload_i, "pairs": len(got), "direct": len(direct)})
 

@@ -8,7 +8,8 @@ multiplication by the simple reflections, which orders ids by length with
 the lexicographically least reduced word breaking ties; ids, words and
 every downstream serialization are therefore reproducible byte-for-byte
 across runs.  Each element stores one reduced word, the one it prints:
-the word that strips the smallest right descent at each step.
+the word that strips the smallest right descent at each step, and the
+length of w is ``len(g.words[w])``.
 
 Bruhat order is a dense bitmask matrix, |W|^2 bits, built by the subword
 recursion on the stored words; callers that read it bound |W|
@@ -35,13 +36,11 @@ from .rootsys import SIZE_CAP, RootSystem, WeylOrderCapError
 class WeylGroup:
     """An enumerated Weyl group with constant-time generator multiplication."""
 
-    def __init__(self, rs: RootSystem, perms: list[bytes],
-                 words: list[tuple[int, ...]], lengths: list[int],
+    def __init__(self, rs: RootSystem, perms: list[bytes], words: list[tuple[int, ...]],
                  gen_table: list[tuple[int, ...]], index: dict[bytes, int]):
         self.rs = rs
         self.perms = perms
         self.words = words
-        self.lengths = lengths
         self.gen_table = gen_table
         self.index = index
         self.longest_id = len(perms) - 1
@@ -75,10 +74,6 @@ class WeylGroup:
             self._inverses = [index[bytes(sorted(roots, key=p.__getitem__))]
                               for p in self.perms]
         return self._inverses
-
-    def act(self, w: int, r: int) -> int:
-        """Image root index of root r under the element w."""
-        return self.perms[w][r]
 
     # -- words ---------------------------------------------------------------
 
@@ -132,9 +127,11 @@ def generate(rs: RootSystem) -> WeylGroup:
 
     Breadth-first over right multiplication by simple reflections, which
     yields ids sorted by (length, lexicographically least reduced word).
-    The stored word of w is then the word of w s_d followed by d, for the
-    smallest right descent d of w.  Groups over ``SIZE_CAP`` elements are
-    refused before anything is built.
+    The breadth-first depth of w is its length; the depths are kept only
+    while the group is built, to check the longest element and to find
+    descents.  The stored word of w is the word of w s_d followed by d,
+    for the smallest right descent d of w.  Groups over ``SIZE_CAP``
+    elements are refused before anything is built.
     """
     expected = rs.dynkin.weyl_order()
     if expected > SIZE_CAP:
@@ -143,7 +140,7 @@ def generate(rs: RootSystem) -> WeylGroup:
     pad = bytes(range(n, 256))
     identity = bytes(range(n))
     perms: list[bytes] = [identity]
-    lengths: list[int] = [0]
+    depths: list[int] = [0]
     index: dict[bytes, int] = {identity: 0}
     gen_table: list[tuple[int, ...]] = []
     w = 0
@@ -157,7 +154,7 @@ def generate(rs: RootSystem) -> WeylGroup:
                 j = len(perms)
                 index[q] = j
                 perms.append(q)
-                lengths.append(lengths[w] + 1)
+                depths.append(depths[w] + 1)
             row.append(j)
         gen_table.append(tuple(row))
         w += 1
@@ -166,10 +163,10 @@ def generate(rs: RootSystem) -> WeylGroup:
         raise RuntimeError(
             f"{rs.dynkin}: enumerated {len(perms)} elements, order formula says {expected}"
         )
-    if len(perms) > 1 and (lengths[-1] != rs.n_positive or lengths[-2] == lengths[-1]):
+    if len(perms) > 1 and (depths[-1] != rs.n_positive or depths[-2] == depths[-1]):
         raise RuntimeError(f"{rs.dynkin}: longest element is not unique of length |Phi+|")
     words: list[tuple[int, ...]] = [()]
-    for row, length in zip(gen_table[1:], lengths[1:]):
-        d = next(d for d, v in enumerate(row) if lengths[v] < length)
+    for row, depth in zip(gen_table[1:], depths[1:]):
+        d = next(d for d, v in enumerate(row) if depths[v] < depth)
         words.append(words[row[d]] + (d + 1,))
-    return WeylGroup(rs, perms, words, lengths, gen_table, index)
+    return WeylGroup(rs, perms, words, gen_table, index)

@@ -262,11 +262,37 @@ def test_is_faithful_matches_orbit_oracle(type_str):
         ("E6", {1, 2, 3, 4, 5, 6}, "E6"),
         ("A4", {1, 2, 4}, "A2xA1"),
         ("B2xA1", {1, 2, 3}, "B2xA1"),
+        ("E6", {1, 2, 3, 4, 5}, "D5"),
+        ("E7", {1, 2, 3, 4, 5, 6, 7}, "E7"),
+        ("E8", {1, 2, 3, 4, 5, 6, 7, 8}, "E8"),
+        ("F4", {1, 2, 3}, "B3"),
+        ("F4", {2, 3, 4}, "C3"),
+        ("B4", {2, 3, 4}, "B3"),
+        ("C4", {2, 3, 4}, "C3"),
     ],
 )
 def test_subdiagram_type(type_str, J, expected):
     rs = build_root_system(type_str)
     assert str(rs.subdiagram_type(J)) == expected
+
+
+CLASSIFIER_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("type_str", CLASSIFIER_TYPES)
+def test_subdiagram_type_counts_the_roots_of_every_subset(type_str):
+    # The Levi type of J fixes |Phi_J| by its degrees and |J| by its rank; the
+    # roots of the closure supported on J count Phi_J independently.
+    rs = build_root_system(type_str)
+    for J in all_subsets(rs.rank):
+        t = rs.subdiagram_type(J)
+        assert t.n_roots == len(rs.sub_system(J))
+        assert t.rank == len(J)
+    assert rs.subdiagram_type(rs.delta()) == rs.dynkin
 
 
 def test_root_index_rejects_non_roots():

@@ -44,7 +44,7 @@ def test_type_a_is_the_symmetric_group(n, groups):
     lines = {}
     for w in range(g.order):
         line = one_line_permutation(g, w)
-        assert inversions(line) == g.lengths[w]
+        assert inversions(line) == len(g.words[w])
         lines[w] = line
     assert sorted(lines.values()) == sorted(permutations(range(1, n + 2)))
     # the assignment is a homomorphism (sampled exhaustively for small n)
@@ -61,14 +61,14 @@ def test_group_laws(type_str, groups):
     for w in range(g.order):
         assert g.multiply(0, w) == w == g.multiply(w, 0)
         assert g.multiply(w, g.inverse(w)) == 0
-        assert g.lengths[g.inverse(w)] == g.lengths[w]
+        assert len(g.words[g.inverse(w)]) == len(g.words[w])
 
 
 def test_act_example(groups):
     g = groups("A2")
     rs = g.rs
     s1 = g.simple(1)
-    assert g.act(s1, rs.simple_index(2)) == rs.root_index((1, 1))
+    assert g.perms[s1][rs.simple_index(2)] == rs.root_index((1, 1))
 
 
 def test_inverse_by_word_reversal(groups):
@@ -83,12 +83,12 @@ def test_perm_commutes_with_negation(type_str, groups):
     rs = g.rs
     for w in range(g.order):
         for r in range(rs.n_roots):
-            assert g.act(w, rs.neg(r)) == rs.neg(g.act(w, r))
+            assert g.perms[w][rs.neg(r)] == rs.neg(g.perms[w][r])
 
 
 def longest_by_scan(g, I):
     """The longest element of W_I, scanned from the subgroup's closure."""
-    return max(subgroup_ids(g, I), key=g.lengths.__getitem__)
+    return max(subgroup_ids(g, I), key=lambda w: len(g.words[w]))
 
 
 def test_longest_in_examples(groups):
@@ -98,7 +98,7 @@ def test_longest_in_examples(groups):
     top = from_word(g, rs.longest_word({1, 2}))
     assert top == longest_by_scan(g, {1, 2}) == g.longest_id
     assert g.reduced_word(top) == (1, 2, 1)
-    assert g.lengths[top] == 3
+    assert len(g.words[top]) == 3
     assert from_word(g, rs.longest_word({1})) == longest_by_scan(g, {1}) == g.simple(1)
 
 
@@ -107,8 +107,8 @@ def test_longest_in_against_subgroup_scan(type_str, groups):
     g = groups(type_str)
     for I in all_subsets(g.rs.rank):
         sub = subgroup_ids(g, I)
-        top_len = max(g.lengths[w] for w in sub)
-        candidates = [w for w in sub if g.lengths[w] == top_len]
+        top_len = max(len(g.words[w]) for w in sub)
+        candidates = [w for w in sub if len(g.words[w]) == top_len]
         assert candidates == [from_word(g, g.rs.longest_word(I))]
 
 
@@ -124,7 +124,9 @@ def test_reduced_word_reconstructs(type_str, groups):
     g = groups(type_str)
     for w in range(g.order):
         word = g.reduced_word(w)
-        assert len(word) == g.lengths[w]
+        # reduced: as long as the number of positive roots w sends negative
+        perm = g.perms[w]
+        assert len(word) == sum(not g.rs.is_positive(perm[r]) for r in g.rs.positive_indices())
         assert from_word(g, word) == w
 
 
@@ -133,14 +135,14 @@ def test_exchange_condition(type_str, groups):
     g = groups(type_str)
     for w in range(g.order):
         for i in range(g.rs.rank):
-            assert abs(g.lengths[g.gen_table[w][i]] - g.lengths[w]) == 1
+            assert abs(len(g.words[g.gen_table[w][i]]) - len(g.words[w])) == 1
 
 
 @pytest.mark.parametrize("type_str", SWEEP_TYPES + ["F4"])
 def test_unique_longest_element(type_str, groups):
     g = groups(type_str)
     top = g.rs.n_positive
-    assert [w for w in range(g.order) if g.lengths[w] == top] == [g.longest_id]
+    assert [w for w in range(g.order) if len(g.words[w]) == top] == [g.longest_id]
     assert g.multiply(g.longest_id, g.longest_id) == 0
 
 
@@ -153,7 +155,7 @@ def test_longest_word_is_the_printed_word(type_str, groups):
         word = rs.longest_word(J)
         top = longest_by_scan(g, J)
         assert from_word(g, word) == top
-        assert len(word) == g.lengths[top]
+        assert len(word) == len(g.words[top])
 
 
 @pytest.mark.parametrize("type_str", ["E6", "E7", "E8"])
@@ -174,13 +176,13 @@ def test_longest_element_acts_as_minus_one(type_str, groups):
     g = groups(type_str)
     rs = g.rs
     for r in range(rs.n_roots):
-        assert g.act(g.longest_id, r) == rs.neg(r)
+        assert g.perms[g.longest_id][r] == rs.neg(r)
 
 
 def test_longest_element_of_a2_is_not_minus_one(groups):
     g = groups("A2")
     rs = g.rs
-    assert g.act(g.longest_id, rs.simple_index(1)) == rs.neg(rs.simple_index(2))
+    assert g.perms[g.longest_id][rs.simple_index(1)] == rs.neg(rs.simple_index(2))
 
 
 def test_bruhat_examples(groups):
@@ -233,7 +235,7 @@ def test_bruhat_respects_length(type_str, groups):
         while m:
             b = m & -m
             u = b.bit_length() - 1
-            assert g.lengths[u] <= g.lengths[w]
+            assert len(g.words[u]) <= len(g.words[w])
             m ^= b
 
 
@@ -259,10 +261,10 @@ def test_ids_sorted_by_length_then_word(groups):
         least = [()]  # the lexicographically least reduced word, in id order
         for w in range(1, g.order):
             row = g.gen_table[w]
-            descents = [d for d, v in enumerate(row) if g.lengths[v] < g.lengths[w]]
+            descents = [d for d, v in enumerate(row) if len(g.words[v]) < len(g.words[w])]
             least.append(min(least[row[d]] + (d + 1,) for d in descents))
             assert g.words[w][-1] == descents[0] + 1  # the stored word's last letter
-        keys = [(g.lengths[w], least[w]) for w in range(g.order)]
+        keys = [(len(g.words[w]), least[w]) for w in range(g.order)]
         assert keys == sorted(keys)
 
 
@@ -279,8 +281,8 @@ def test_word_products_respect_length_parity(groups, type_str, letters):
     g = groups(type_str)
     word = tuple(1 + (l - 1) % g.rs.rank for l in letters)
     w = from_word(g, word)
-    assert g.lengths[w] <= len(word)
-    assert g.lengths[w] % 2 == len(word) % 2
+    assert len(g.words[w]) <= len(word)
+    assert len(g.words[w]) % 2 == len(word) % 2
 
 
 def test_filled_caches_hold_no_reference_cycle():
