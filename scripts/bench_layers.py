@@ -13,7 +13,10 @@ For the full flag (I empty) of each type below, and for the call
   once beforehand; output goes to a sink that discards it;
 * ``text``: the same without ``--json``;
 * ``sweep``: ``sweep.run_sweep(T)``, every check over every faithful I
-  and every J, or null for a type over ``sweep.ORDER_CAP`` (E6).
+  and every J, or null for a type over ``sweep.ORDER_CAP`` (E6);
+* ``bruhat``: ``WeylGroup.bruhat_rows()``, the |W|^2 Bruhat matrix the
+  sweep's fixed-point check reads, each call on a fresh ``generate(rs)``
+  and only the call timed, or null over ``sweep.ORDER_CAP``.
 
 No printed word of a full flag has a prefix off W^I, so it also times
 the walk of the maximal parabolic quotients in QUOTIENTS, where many
@@ -59,6 +62,7 @@ from diagdegen.cosets import quotient  # noqa: E402
 from diagdegen.projgor import gorenstein_obstruction  # noqa: E402
 from diagdegen.rootsys import all_subsets, build_root_system  # noqa: E402
 from diagdegen.sweep import ORDER_CAP, run_sweep  # noqa: E402
+from diagdegen.weyl import generate  # noqa: E402
 
 TYPES = ["A5", "A6", "B4", "B5", "D5", "F4", "E6"]
 REPEATS = 5
@@ -94,6 +98,17 @@ def _median_time(fn) -> float:
     return statistics.median(times)
 
 
+def _bruhat_time(rs) -> float:
+    """Median time of ``bruhat_rows()``, each call on a freshly generated group."""
+    times = []
+    for _ in range(REPEATS):
+        g = generate(rs)
+        start = time.perf_counter()
+        g.bruhat_rows()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def _render_time(argv: list[str]) -> float:
     """Median time of parsing argv and rendering as cli._run does, the handler called beforehand."""
     ns = cli.parse_args(argv)
@@ -112,6 +127,7 @@ def measure(type_str: str) -> dict:
     rs = build_root_system(type_str)
     q = quotient(rs, ())
     argv = ["flagdegen", type_str, "--J", "1"]
+    capped = rs.dynkin.weyl_order() > ORDER_CAP
     return {
         "reps": len(q.words),
         "quotient": _median_time(lambda: quotient(rs, ())),
@@ -120,8 +136,8 @@ def measure(type_str: str) -> dict:
             lambda: [degen.components(rs, q, J) for J in all_subsets(rs.rank)]),
         "json": _render_time(argv + ["--json"]),
         "text": _render_time(argv),
-        "sweep": (_median_time(lambda: run_sweep(type_str))
-                  if rs.dynkin.weyl_order() <= ORDER_CAP else None),
+        "sweep": None if capped else _median_time(lambda: run_sweep(type_str)),
+        "bruhat": None if capped else _bruhat_time(rs),
     }
 
 
@@ -186,7 +202,8 @@ def main() -> int:
         layers[type_str] = row = measure(type_str)
         print(f"{type_str:<4} |W| {row['reps']:>6}  " + "  ".join(
             f"{k} {'-' if row[k] is None else f'{row[k]:.4f}s'}"
-            for k in ("quotient", "components", "components_all", "json", "text", "sweep")),
+            for k in ("quotient", "components", "components_all", "json", "text", "sweep",
+                      "bruhat")),
             flush=True)
     quotients = {}
     for type_str, I in QUOTIENTS:
@@ -213,6 +230,7 @@ def main() -> int:
         "statistic": "median",
         "unit": "s",
         "call": ("flagdegen T --J 1 (full flag, I empty); components on every J; sweep T; "
+                 "bruhat_rows() on a fresh group; "
                  "gorenstein_obstruction(n, variant)"),
         "layers": layers,
         "quotients": quotients,

@@ -12,9 +12,9 @@ the word that strips the smallest right descent at each step, and the
 length of w is ``len(g.words[w])``.
 
 Bruhat order is a dense bitmask matrix, |W|^2 bits, built by the subword
-recursion on the stored words; callers that read it bound |W|
-themselves (``sweep`` refuses groups over 10 000 elements).  The
-independent reflection-cover oracle lives in :mod:`diagdegen.oracles`.
+recursion on the stored words, relabelling whole rows by the involution
+s_i through their binary digits; callers bound |W| (``sweep.ORDER_CAP``).
+The independent reflection-cover oracle lives in :mod:`diagdegen.oracles`.
 
 Derived tables (inverses, the Bruhat matrix, and the quotient data of
 :func:`diagdegen.cosets.min_reps` per ``I``) are built lazily on first use
@@ -29,6 +29,8 @@ The catalogue verbs walk W^I with :func:`diagdegen.cosets.quotient`, and
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .rootsys import SIZE_CAP, RootSystem, WeylOrderCapError
 
@@ -86,24 +88,21 @@ class WeylGroup:
     def bruhat_rows(self) -> list[int]:
         """Bitmask rows of the order: bit u of row w is set iff u <= w.
 
-        Built by the aggregated subword recursion
-        ``S(w) = S(w s_i) | S(w s_i) s_i`` for the last letter i of the
-        stored word, a right descent of w.
+        Built by the aggregated subword recursion ``S(w) = S(w s_i) | S(w s_i) s_i``
+        for the last letter i of the stored word, a right descent of w.  As s_i is
+        an involution, bit v of ``S s_i`` is bit ``v s_i`` of S, so one ``itemgetter``
+        per generator over the column ``u -> u s_i`` of the right table relabels
+        a row's binary digits, least significant first.
         """
         if self._bruhat_rows is None:
-            gen_table = self.gen_table
-            rows = [0] * self.order
-            rows[0] = 1
-            for w in range(1, self.order):
+            n = self.order
+            take = [itemgetter(*column) for column in zip(*self.gen_table)]
+            rows = [1] * n
+            for w in range(1, n):
                 i = self.words[w][-1] - 1
                 rv = rows[self.gen_table[w][i]]
-                acc = rv
-                m = rv
-                while m:
-                    b = m & -m
-                    acc |= 1 << gen_table[b.bit_length() - 1][i]
-                    m ^= b
-                rows[w] = acc | (1 << w)
+                digits = format(rv, f"0{n}b")[::-1]
+                rows[w] = rv | int("".join(take[i](digits))[::-1], 2) | 1 << w
             self._bruhat_rows = rows
         return self._bruhat_rows
 

@@ -204,7 +204,7 @@ def test_bench_layers_script_measures_a2(monkeypatch):
     row = module.measure("A2")
     assert row["reps"] == 6
     assert all(row[k] > 0 for k in ("quotient", "components", "components_all", "json", "text",
-                                    "sweep"))
+                                    "sweep", "bruhat"))
     row = module.measure_quotient("A2", (2,))
     assert row["reps"] == 3 and row["quotient"] > 0 and row["peak_bytes"] > 0
     assert [type_str for type_str, _ in module.QUOTIENTS] == ["E6", "E7", "E8", "E8", "E8"]

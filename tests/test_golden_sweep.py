@@ -4,7 +4,9 @@ Each entry is a Dynkin type of ``scripts/run_sweep.py``'s original defaults
 and the sha256 of the stdout of ``diagdegen sweep T --json``, recorded
 before the sweep read its checks from one walk and one coset labelling
 per I.  A change to the sweep's checks, case counts or key order shows
-here as a changed digest.
+here as a changed digest.  D5, the smallest default no entry pinned, was
+added later, its digest recorded before ``WeylGroup.bruhat_rows`` came to
+relabel each row as a whole rather than bit by bit.
 """
 
 import hashlib
@@ -27,6 +29,7 @@ GOLDEN = [
     ("B4", "ecdb6a1ae534c41c885b19a511b1b7e539b7052ca549526360545ece78ef07cd"),
     ("A5", "4cf1d4cb05ad5456c3fed67978990cb8280106b6abc7eeee6e5e87fa4a9e74d6"),
     ("F4", "bd2c2428e16dfb4df3a8a3b660a3006179767ed7b18d81f119517d7529f10295"),
+    ("D5", "4b3bddf32cb84bda59ab79c42307a7ae7ce756c9fd369777f96fb920dd77639e"),
 ]
 
 

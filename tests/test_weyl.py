@@ -195,7 +195,7 @@ def test_bruhat_examples(groups):
     assert not (rows[s2] >> s1) & 1
 
 
-@pytest.mark.parametrize("type_str", BRUHAT_TYPES)
+@pytest.mark.parametrize("type_str", BRUHAT_TYPES + ["D5", "B5"])
 def test_bruhat_matrix_equals_cover_closure(type_str, groups):
     g = groups(type_str)
     assert g.bruhat_rows() == bruhat_rows_by_covers(g)
