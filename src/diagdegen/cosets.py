@@ -13,8 +13,8 @@ from the root system alone, never building W: a walk of W(E6)/W(D5) visits
 masks, the left action on W/W_I from its left table.  ``min_reps`` adapts
 the walk to the ids of an enumerated group, for the sweep's oracles and
 the tests, and caches it once per group and ``I``; ``QuotientData.entry``
-is the one map from ids to entries of the walk, and ``double_min_reps`` and
-:func:`diagdegen.degen.fiber_components` read the walk in those ids.
+is the one map from ids to walk entries, membership in W^I included;
+``double_min_reps`` and :func:`diagdegen.degen.fiber_components` map back.
 """
 
 from __future__ import annotations
@@ -184,13 +184,11 @@ def double(rs: RootSystem, q: Quotient, J: Iterable[int]) -> tuple[int, ...]:
 
 
 class QuotientData(NamedTuple):
-    """The quotient W/W_I in the ids of an enumerated group, with its walk."""
+    """W/W_I in the ids of a group, with its walk; w is in W^I iff it is reps[entry(w)]."""
 
     group: WeylGroup
     reps: tuple[int, ...]
     walk: Quotient
-    #: Bit w is set iff w is in W^I.
-    rep_mask: int
 
     @property
     def I(self) -> frozenset[int]:
@@ -201,10 +199,12 @@ class QuotientData(NamedTuple):
         return self.walk.dim_x
 
     def __contains__(self, w: int) -> bool:
-        return w >= 0 and (self.rep_mask >> w) & 1 == 1
+        return 0 <= w < self.group.order and self.reps[self.entry(w)] == w
 
     def entry(self, w: int) -> int:
-        """The entry of the walk that is the coset w W_I, read from the left table."""
+        """The entry of the walk that is the coset w W_I; IndexError off 0..|W|-1."""
+        if not 0 <= w < self.group.order:
+            raise IndexError(f"no element {w} in a group of order {self.group.order}")
         return self.walk.act(self.group.words[w])
 
     def canonicalize(self, w: int) -> int:
@@ -220,9 +220,9 @@ def min_reps(g: WeylGroup, I: Iterable[int]) -> QuotientData:
     dim C_w + dim C-_w = dim G/P_I.
 
     The walk of :func:`quotient` is mapped to ids by multiplying out its
-    words, once per group and I, and cached on the group as a plain tuple;
-    every call wraps it in a new QuotientData, so the cache never refers
-    back to the group.
+    words, once per group and I, and cached on the group as the plain pair
+    (reps, walk); every call wraps it in a new QuotientData, so the cache
+    never refers back to the group.
     """
     I = g.rs.simple_subset(I)
     cached = g._quotients.get(I)
@@ -237,10 +237,7 @@ def min_reps(g: WeylGroup, I: Iterable[int]) -> QuotientData:
             reps.append(w)
         if any(u >= v for u, v in zip(reps, reps[1:])):
             raise RuntimeError(f"walk of W^I for I={sorted(I)} is out of id order")
-        rep_mask = 0
-        for w in reps:
-            rep_mask |= 1 << w
-        cached = g._quotients[I] = (tuple(reps), walk, rep_mask)
+        cached = g._quotients[I] = (tuple(reps), walk)
     return QuotientData(g, *cached)
 
 

@@ -127,17 +127,16 @@ def fixed_point_profile(g: WeylGroup, I: Iterable[int], w: int) -> set[tuple[int
     some x in W^I satisfies x <= u and v <= x.  The chain forces the result
     to be the singleton {(w, w)}; the scan verifies that on the nose.
 
-    For a transitive order this is C x C, with C the meet of down(w), up(w)
-    and W^I in the Bruhat matrix of g: such a chain puts u and v in C, and
-    x = w covers C x C.  So it tests the antisymmetry of the matrix rows:
-    the meet is {w} exactly when no other representative lies both below
-    and above w.  The matrix has |W|^2 bits, which is why ``sweep`` bounds
-    |W|.
+    w is canonicalized first.  For a transitive order this is C x C, with C
+    the representatives (``u in q``) in the meet of down(w) and up(w) in the
+    Bruhat matrix of g: such a chain puts u and v in C, and x = w covers
+    C x C.  So it tests the antisymmetry of the matrix rows: the meet is
+    {w} exactly when no other representative lies both below and above w.
+    The matrix has |W|^2 bits, which is why ``sweep`` bounds |W|.
     """
     q = min_reps(g, I)
-    if w not in q:
-        w = q.canonicalize(w)
-    meet = _bits(g.bruhat_rows()[w] & g.bruhat_up_rows()[w] & q.rep_mask)
+    w = q.canonicalize(w)
+    meet = [u for u in _bits(g.bruhat_rows()[w] & g.bruhat_up_rows()[w]) if u in q]
     return set(product(meet, meet))
 
 
@@ -154,17 +153,17 @@ def _bits(mask: int) -> list[int]:
 def weight_set(g: WeylGroup, I: Iterable[int], w: int) -> frozenset[int]:
     """Torus weights on the total degeneration at the fixed point of w.
 
-    Computed as the mask of Phi- minus w(Phi_I) from the permutation of
-    ``generate``, which for a bijection is Phi- intersect w(Phi - Phi_I),
+    Computed as the mask of Phi- minus w(Phi_I) from the permutation of w
+    in ``generate``, which for a bijection is Phi- intersect w(Phi - Phi_I),
     and again from the walk of W^I: the cell roots of the entry of w W_I
     are w(Phi- - Phi_I), which folded onto Phi- (r > 0 becomes -r) give
-    the same set.  Both depend only on the coset.  The two routes must
-    agree, and the set has exactly dim G/P_I elements.
+    the same set.  Both depend only on the coset, and only the walk's side
+    reads the entry.  The routes must agree, on exactly dim G/P_I elements.
     """
     rs = g.rs
     q = min_reps(g, I)
     k = q.entry(w)
-    perm = g.perms[q.reps[k]]
+    perm = g.perms[w]
     n_pos = rs.n_positive
     pos = (1 << n_pos) - 1
     image = 0

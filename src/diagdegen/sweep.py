@@ -89,9 +89,9 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
     catalogued on that walk.  The component counts of every J are checked
     against the J-dominant weights of the orbit W·lambda_I
     (``oracles.double_coset_counts``), which reads no table of W; only the
-    closed fiber (J empty) is read in group ids, by
-    ``degen.fiber_components``, to compare it with
-    ``oracles.coset_min_reps``, the one labelling of W/W_I per I.
+    closed fiber, the J loop's own catalogue of J empty, is mapped to group
+    ids through ``reps`` and compared with ``oracles.coset_min_reps``, the
+    one labelling of W/W_I per I.
 
     Types whose Weyl group has more than ``ORDER_CAP`` elements are refused
     with ``WeylOrderCapError`` before the root system is built.
@@ -121,6 +121,8 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
         counts_by_j: dict[frozenset[int], int] = {}
         for J in subsets:
             comps = degen.components(rs, walk, J)
+            if not J:
+                fiber = comps
             payload = {"I": payload_i, "J": sorted(J)}
 
             equidim.cases += len(comps)
@@ -152,9 +154,9 @@ def run_sweep(type_str: str | DynkinType) -> SweepReport:
                         {"I": payload_i, "J": sorted(J), "j": j, "issue": "count not antitone"}
                     )
 
-        # the closed fiber over J = {} against the coset oracle: (X-_w, X_w) per w
+        # the J = {} catalogue of the loop above against the coset oracle: (X-_w, X_w) per w
         closed.cases += 1
-        got = degen.fiber_components(g, I, ())
+        got = [(reps[c.w], reps[c.left_index], *c[2:]) for c in fiber]
         words = g.words
         direct = [(w, w, 0, dim_x - len(words[w]), len(words[w]))
                   for w in oracles.coset_min_reps(g, I)]

@@ -49,7 +49,7 @@ class WeylGroup:
         self._inverses: list[int] | None = None
         self._bruhat_rows: list[int] | None = None
         self._bruhat_up_rows: list[int] | None = None
-        #: ``(reps, walk, rep_mask)`` of W^I per I, filled by ``min_reps``.
+        #: ``(reps, walk)`` of W^I per I, filled by ``min_reps``; membership reads the walk.
         self._quotients: dict[frozenset[int], tuple] = {}
 
     @property

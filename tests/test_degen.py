@@ -122,6 +122,19 @@ def test_fixed_point_profile_detects_a_non_antisymmetric_order(monkeypatch):
     assert {(u, u), (w, w), (u, w), (w, u)} <= profile
 
 
+def test_fixed_point_profile_keeps_only_representatives_in_the_meet(monkeypatch):
+    # Declare w0 <= w for w = reps[2] of A2 / W_{2}; w <= w0 holds already.
+    # w0 is not in W^I, so the meet must not take it in.
+    g = generate(build_root_system("A2"))
+    q = min_reps(g, {2})
+    w, w0 = q.reps[2], g.longest_id
+    assert w0 not in q and (g.bruhat_up_rows()[w] >> w0) & 1
+    rows = list(g.bruhat_rows())
+    rows[w] |= 1 << w0
+    monkeypatch.setattr(g, "bruhat_rows", lambda: rows)
+    assert fixed_point_profile(g, {2}, w) == {(w, w)}
+
+
 def test_sweep_fixed_point_check_catches_a_non_antisymmetric_order(monkeypatch):
     # Declare w <= u for representatives u < w of B3 / W_{2}: the meet of w
     # then holds u, so the fixed-point check must fail, while the four other
@@ -163,6 +176,20 @@ def test_fixed_points_and_weights_of_any_id_are_those_of_its_coset(groups, type_
         c = min_reps(g, I).canonicalize(w)
         assert weight_set(g, I, w) == weight_set(g, I, c)
         assert fixed_point_profile(g, I, w) == {(c, c)}
+
+
+def test_ids_outside_the_group_are_refused(groups):
+    # A negative id must not wrap around to the end of the group, as list indexing would.
+    g = groups("A2")
+    q = min_reps(g, {2})
+    for w in (-1, g.order):
+        assert w not in q
+        with pytest.raises(IndexError):
+            q.canonicalize(w)
+        with pytest.raises(IndexError):
+            weight_set(g, {2}, w)
+        with pytest.raises(IndexError):
+            fixed_point_profile(g, {2}, w)
 
 
 def test_weight_set_examples(groups):
@@ -265,6 +292,20 @@ def test_sweep_labels_the_cosets_of_each_I_once(monkeypatch):
     monkeypatch.setattr(oracles, "_coset_labels", counted)
     report = run_sweep("B3")
     assert len(calls) == len(set(calls)) == report.faithful_subsets == 7
+
+
+def test_sweep_catalogues_each_faithful_I_and_J_once(monkeypatch):
+    # The closed-fiber check reads the J = {} catalogue of the J loop, not a second one.
+    calls = []
+    real = degen._catalogue
+
+    def counted(rs, q, J):
+        calls.append((q.I, frozenset(J)))
+        return real(rs, q, J)
+
+    monkeypatch.setattr(degen, "_catalogue", counted)
+    report = run_sweep("B3")
+    assert len(calls) == len(set(calls)) == report.faithful_subsets * report.strata == 56
 
 
 def test_full_flag_fiber_examples(groups):

@@ -296,7 +296,7 @@ def test_filled_caches_hold_no_reference_cycle():
         g.rs.sub_system({2, 3})
         g.inverse(g.longest_id)
         g.bruhat_up_rows()
-        # the walk, its id map and the W^I bitmask, for a second I
+        # the walk and its id map, for a second I
         fiber_components(g, {3}, {1, 2})
         fixed_point_profile(g, {3}, g.simple(1))
         q.canonicalize(g.longest_id)
