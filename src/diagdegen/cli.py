@@ -188,7 +188,9 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 # -- verb handlers -----------------------------------------------------------
 #
 # Each handler returns its JSON payload, less the "verb" that ``_run`` adds, and
-# a function that renders the text output, so the text is only built when printed.
+# a function that renders the text output from that payload alone (``sweep``'s is
+# ``SweepReport.format_text``): the text is only built when printed, prints the
+# facts the JSON holds, and keeps none of the objects the handler built.
 
 Rendered = tuple[dict, Callable[[], str]]
 
@@ -204,13 +206,11 @@ def _cmd_roots(ns) -> Rendered:
     }
 
     def text() -> str:
-        rows = [
-            [str(r), str(list(rs.coords(r))), str(rs.height(r))]
-            for r in rs.positive_indices()
-        ]
+        positive = payload["positive"]
+        rows = [[str(r), str(coords), str(sum(coords))] for r, coords in enumerate(positive)]
         return (
-            f"type {rs.dynkin}: rank {rs.rank}, {rs.n_roots} roots "
-            f"({rs.n_positive} positive)\n"
+            f"type {payload['type']}: rank {payload['rank']}, {payload['n_roots']} roots "
+            f"({len(positive)} positive)\n"
             + _table(["idx", "coords", "height"], rows)
         )
 
@@ -232,7 +232,7 @@ def _cmd_weyl(ns) -> Rendered:
     def text() -> str:
         return (
             f"W({payload['type']}): order {payload['order']}, longest element length "
-            f"{rs.n_positive}, word {payload['longest_word']}\n"
+            f"{payload['n_positive']}, word {payload['longest_word']}\n"
         )
 
     return payload, text
@@ -282,13 +282,11 @@ def _cmd_orbits(ns) -> Rendered:
     }
 
     def text() -> str:
-        rows = [
-            [str(sorted(o.J)), str(o.orbit_dim), str(o.stab_dim),
-             str(o.levi_type) or "-"]
-            for o in lattice
-        ]
+        orbits = payload["orbits"]
+        rows = [[str(o["J"]), str(o["orbit_dim"]), str(o["stab_dim"]), o["levi"] or "-"]
+                for o in orbits]
         return (
-            f"{rs.dynkin}: {len(lattice)} orbits, dim G = {rs.n_roots + rs.rank}\n"
+            f"{payload['type']}: {len(orbits)} orbits, dim G = {payload['dim_g']}\n"
             + _table(["J", "dim O_J", "dim stab", "levi"], rows)
         )
 
@@ -335,8 +333,8 @@ def _cmd_degen(ns) -> Rendered:
         "components": comps,
     }
     head = (
-        f"degeneration over J={sorted(J)} for {rs.dynkin}, "
-        f"I={sorted(I)}: {len(comps)} components\n"
+        f"degeneration over J={payload['J']} for {payload['type']}, "
+        f"I={payload['I']}: {len(comps)} components\n"
     )
     return payload, lambda: _components_text(comps, head)
 
@@ -351,7 +349,7 @@ def _cmd_flagdegen(ns) -> Rendered:
         "components": comps,
     }
     head = (
-        f"full-flag degeneration over J={sorted(J)} for {rs.dynkin}: "
+        f"full-flag degeneration over J={payload['J']} for {payload['type']}: "
         f"{len(comps)} components\n"
     )
     return payload, lambda: _components_text(comps, head)
@@ -364,7 +362,6 @@ def _cmd_pn(ns) -> Rendered:
     projgor.require_under_cap(n)  # before J, as build_root_system is for the other verbs
     J = _parse_subset(n, ns.J, "J")
     comp = projgor.composition_from_J(n, J)
-    components = projgor.pn_components(comp)
     payload = {
         "n": n,
         "J": sorted(J),
@@ -378,19 +375,17 @@ def _cmd_pn(ns) -> Rendered:
                 "w_value": c.w_value,
                 "dims": {"x": c.x_dim, "y": c.y_dim, "fiber": c.fiber_dim},
             }
-            for c in components
+            for c in projgor.pn_components(comp)
         ],
     }
 
     def text() -> str:
-        rows = [
-            [str(c.i), str(c.w_value), str(c.x_dim), str(c.y_dim), str(c.fiber_dim),
-             "yes" if c.smooth else "no"]
-            for c in components
-        ]
+        comps = payload["components"]
+        rows = [[str(c["i"]), str(c["w_value"]), str(c["dims"]["x"]), str(c["dims"]["y"]),
+                 str(c["dims"]["fiber"]), "yes" if c["smooth"] else "no"] for c in comps]
         return (
-            f"P^{n} with blocks {list(comp.blocks)} (J={sorted(J)}): "
-            f"{len(components)} components\n"
+            f"P^{payload['n']} with blocks {payload['blocks']} (J={payload['J']}): "
+            f"{len(comps)} components\n"
             + _table(["i", "w(1)", "x", "y", "fiber", "smooth"], rows)
         )
 
@@ -405,9 +400,10 @@ def _cmd_gorenstein(ns) -> Rendered:
     h = projgor.diag_hilbert_poly(n)
     payload = {"n": n, "variant": ns.variant, "p": p, "hilbert": h.json_coeffs()}
     return payload, lambda: (
-        f"P^{n}: Hilbert polynomial coefficients {payload['hilbert']}\n"
-        f"variant {ns.variant}: "
-        + (f"p = {p}\n" if p is not None else "no integer p (Gorenstein obstructed)\n"))
+        f"P^{payload['n']}: Hilbert polynomial coefficients {payload['hilbert']}\n"
+        f"variant {payload['variant']}: "
+        + (f"p = {payload['p']}\n" if payload["p"] is not None
+           else "no integer p (Gorenstein obstructed)\n"))
 
 
 def _cmd_sweep(ns) -> Rendered:

@@ -90,9 +90,11 @@ def fiber_components(g: WeylGroup, I: Iterable[int], J: Iterable[int]) -> list[F
 
 
 def _catalogue(rs: RootSystem, q: Quotient, J: Iterable[int]):
+    """(entry, left entry, levi, xminus, x) per component over J; levi counts the cell
+    mask's roots in Phi_J, whose bits are set from ``rs.sub_system(J)`` once."""
     J = rs.simple_subset(J)
     require_faithful(rs, q.I)
-    w_j, phi_j = rs.longest_word(J), rs.sub_system_mask(J)
+    w_j, phi_j = rs.longest_word(J), sum(1 << r for r in rs.sub_system(J))
     cell_roots, words, dim_x = q.cell_roots, q.words, q.dim_x
     for w in double(rs, q, J):
         left = q.act(w_j, w)

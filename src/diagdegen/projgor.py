@@ -177,13 +177,9 @@ def _obstruction_by_roots(n: int, variant: str) -> int | None:
     # h(-m) has roots {i/2 : 1 <= i <= n} with leading coefficient (-2)^n/n!,
     # h(m+p) has roots {-p - i/2} with leading 2^n/n!; matching the sums of
     # roots forces p = -(n+1)/2, an integer for odd n only, and for odd n the
-    # leading signs agree only with the signed variant's (-1)^n.
-    if variant == "paper" or n % 2 == 0:
-        return None
-    p = -(n + 1) // 2
-    lhs = sorted(Fraction(i, 2) for i in range(1, n + 1))
-    rhs = sorted(-p - Fraction(i, 2) for i in range(1, n + 1))
-    return p if lhs == rhs else None
+    # leading signs agree only with the signed variant's (-1)^n.  At that p the
+    # roots -p - i/2 = (n + 1 - i)/2 run over the same set {i/2}, so p matches.
+    return None if variant == "paper" or n % 2 == 0 else -(n + 1) // 2
 
 
 def gorenstein_obstruction(n: int, variant: str = "paper") -> int | None:

@@ -6,7 +6,9 @@ sorted by height and then lexicographically, followed by their negatives
 in matching order, so index arithmetic and JSON renderings are stable
 across runs.  Simple roots are numbered 1..rank per component in Bourbaki
 order; subsets of simple roots (the ``I`` and ``J`` arguments used
-throughout the package) are frozensets of 1-based indices.
+throughout the package) are frozensets of 1-based indices.  Each root fact
+has one form: Phi_I is the frozenset ``RootSystem.sub_system(I)`` of root
+indices, and a root's height is the sum of its coordinates.
 
 Cartan convention: ``cartan[i][j]`` holds the pairing of the i-th simple
 root against the j-th simple coroot, so the simple reflection acts by
@@ -48,6 +50,8 @@ class WeylOrderCapError(ValueError):
 
 
 def _check_component(family: str, rank: int) -> None:
+    if family not in _MIN_RANK and family != "E":
+        raise DynkinError(f"{family}{rank}: unknown family {family!r}")
     if family == "E":
         if rank not in _E_RANKS:
             raise DynkinError(f"E{rank}: rank must be 6, 7 or 8")
@@ -237,7 +241,7 @@ class RootSystem:
             for i in range(self.rank)
         )
         self._components = tuple(self._induced_components(range(1, self.rank + 1)))
-        self._sub_systems: dict[frozenset[int], tuple[frozenset[int], int]] = {}
+        self._sub_systems: dict[frozenset[int], frozenset[int]] = {}
         self._longest_words: dict[frozenset[int], tuple[int, ...]] = {}
 
     # -- basic queries ---------------------------------------------------
@@ -248,9 +252,6 @@ class RootSystem:
 
     def coords(self, r: int) -> Coords:
         return self.roots[r]
-
-    def height(self, r: int) -> int:
-        return sum(self.roots[r])
 
     def is_positive(self, r: int) -> bool:
         return r < self.n_positive
@@ -284,22 +285,14 @@ class RootSystem:
 
     def sub_system(self, I: Iterable[int]) -> frozenset[int]:
         """Indices of the roots supported on the simple subset I (cached per I)."""
-        return self._sub_system(I)[0]
-
-    def sub_system_mask(self, I: Iterable[int]) -> int:
-        """:meth:`sub_system` as a bitmask: bit r is set iff root r is in Phi_I."""
-        return self._sub_system(I)[1]
-
-    def _sub_system(self, I: Iterable[int]) -> tuple[frozenset[int], int]:
         I = self.simple_subset(I)
-        out = self._sub_systems.get(I)
-        if out is None:
-            roots = frozenset(
+        roots = self._sub_systems.get(I)
+        if roots is None:
+            roots = self._sub_systems[I] = frozenset(
                 r for r, coords in enumerate(self.roots)
                 if all(c == 0 or (j + 1) in I for j, c in enumerate(coords))
             )
-            out = self._sub_systems[I] = (roots, sum(1 << r for r in roots))
-        return out
+        return roots
 
     def longest_word(self, J: Iterable[int]) -> tuple[int, ...]:
         """A reduced word of the longest element w_J of W_J (cached per J).
@@ -407,13 +400,16 @@ def build_root_system(t: DynkinType | str) -> RootSystem:
     """Build the root system of a Dynkin type by reflection closure.
 
     Types over ``ROOT_CAP`` roots are refused first (by the rank, then by
-    ``DynkinType.n_roots``); the generated roots are cross-checked for the
-    sign dichotomy.  The closure's images s_i(r) become ``RootSystem.reflections``.
+    ``DynkinType.n_roots``).  The closure must end at exactly that count from
+    the degrees, and stops with a RuntimeError at the first root past it; its
+    roots are cross-checked for the sign dichotomy.  The closure's images s_i(r)
+    become ``RootSystem.reflections``.
     """
     if isinstance(t, str):
         t = parse_dynkin(t)
     rank = t.rank
-    if rank > ROOT_CAP // 2 or t.n_roots > ROOT_CAP:
+    # n_roots sums rank-many degrees, so it is read only once the rank is small
+    if rank > ROOT_CAP // 2 or (n_roots := t.n_roots) > ROOT_CAP:
         raise WeylOrderCapError(f"{t}: number of roots exceeds cap {ROOT_CAP}")
     cartan = _block_diagonal([_component_cartan(f, n) for f, n in t.components])
 
@@ -432,8 +428,12 @@ def build_root_system(t: DynkinType | str) -> RootSystem:
         images[r] = row = [reflect_coords(i, r) for i in range(rank)]
         for r2 in row:
             if r2 not in seen:
+                if len(seen) == n_roots:
+                    raise RuntimeError(f"root closure of {t} passes |Phi| = {n_roots}")
                 seen.add(r2)
                 stack.append(r2)
+    if len(seen) != n_roots:
+        raise RuntimeError(f"root closure of {t} has {len(seen)} roots, not |Phi| = {n_roots}")
 
     positives = sorted(
         (r for r in seen if all(c >= 0 for c in r)),

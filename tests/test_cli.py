@@ -213,8 +213,11 @@ def test_bench_layers_script_measures_a2(monkeypatch):
     assert set(row) == {"paper", "signed"} and all(t > 0 for t in row.values())
 
 
-def _run_capped(argv, megabytes):
-    """Run ``diagdegen argv`` in a child whose address space is capped at megabytes."""
+def _run_capped(argv, megabytes, script=None):
+    """Run ``diagdegen argv`` in a child whose address space is capped at megabytes.
+
+    With a script, the child runs it with argv in ``sys.argv[1:]`` instead.
+    """
     import resource
 
     limit = megabytes * 10**6
@@ -222,8 +225,9 @@ def _run_capped(argv, megabytes):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
+    entry = ("-c", script) if script else ("-m", "diagdegen.cli")
     return subprocess.run(
-        [sys.executable, "-m", "diagdegen.cli", *argv],
+        [sys.executable, *entry, *argv],
         env=_child_env(), preexec_fn=cap_address_space, capture_output=True, text=True,
         timeout=120,
     )
@@ -236,6 +240,40 @@ def test_out_of_memory_exits_3_in_one_line():
     done = _run_capped(["orbits", "x".join(["A1"] * 19)], 100)
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr == "error: out of memory\n"
+
+
+#: ``diagdegen`` with G2's Cartan entry m[1][0] replaced by {entry}.
+_WRONG_G2 = """
+from diagdegen import cli, rootsys
+right = rootsys._component_cartan
+def wrong(family, n):
+    m = right(family, n)
+    if family == "G":
+        m[1][0] = {entry}
+    return m
+rootsys._component_cartan = wrong
+cli.main()
+"""
+
+
+def test_root_closure_short_of_the_degrees_exits_4():
+    # m[1][0] = -2 is B2's matrix: its closure ends at 8 roots, where the degrees of G2
+    # give 12, so without the count `roots G2` would print B2's roots with exit 0.
+    done = _run_capped(["roots", "G2"], 300, _WRONG_G2.format(entry=-2))
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == ("error: internal invariant failed: "
+                           "root closure of G2 has 8 roots, not |Phi| = 12\n")
+
+
+def test_root_closure_past_the_degrees_exits_4_at_once():
+    # m[1][0] = -4 is an affine matrix, whose closure never ends: without the count the
+    # child runs for seconds until its address space is spent.
+    start = time.perf_counter()
+    done = _run_capped(["roots", "G2"], 300, _WRONG_G2.format(entry=-4))
+    assert time.perf_counter() - start < 1.0
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == ("error: internal invariant failed: "
+                           "root closure of G2 passes |Phi| = 12\n")
 
 
 def test_walk_of_e8_over_a7_fits_in_150_mb():
@@ -259,7 +297,7 @@ def test_trace_child_wraps_the_methods_the_benchmark_reads(tmp_path):
             "rootsys.sub_system"} <= set(header["names"])
 
 
-@pytest.mark.parametrize("type_str", ["A3000", "A300000", "B2xD100000"])
+@pytest.mark.parametrize("type_str", ["A3000", "A300000", "B2xD100000", "A" + "1" * 25])
 def test_huge_rank_is_refused_cheaply(capsys, type_str):
     start = time.perf_counter()
     code, out, err = run_capture(capsys, ["roots", type_str])

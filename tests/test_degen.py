@@ -329,6 +329,24 @@ def test_full_flag_levi_dims(type_str, groups):
 
 
 @pytest.mark.parametrize("type_str", SWEEP_TYPES)
+def test_levi_dims_count_the_roots_of_phi_j_sent_below_off_phi_i(type_str, groups):
+    # the diag(L_J) sweep of Z_w has one dimension per beta in Phi_J with
+    # w^-1 beta in Phi- minus Phi_I, read here from the permutation of w^-1
+    g = groups(type_str)
+    rs = g.rs
+    for I in faithful_subsets(rs):
+        if not I:
+            continue  # the full flag is test_full_flag_levi_dims
+        phi_i = rs.sub_system(I)
+        for J in all_subsets(rs.rank):
+            phi_j = rs.sub_system(J)
+            for c in fiber_components(g, I, J):
+                back = g.perms[g.inverse(c.w)]
+                assert c.levi_quotient_dim == sum(
+                    not rs.is_positive(back[b]) and back[b] not in phi_i for b in phi_j)
+
+
+@pytest.mark.parametrize("type_str", SWEEP_TYPES)
 def test_component_count_antitone_in_J(type_str, groups):
     g = groups(type_str)
     subsets = all_subsets(g.rs.rank)

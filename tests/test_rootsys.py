@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import SWEEP_TYPES, all_subsets
 from diagdegen import (
     DynkinError,
+    DynkinType,
     WeylOrderCapError,
     build_root_system,
     generate,
@@ -51,6 +52,15 @@ def test_parse_non_crystallographic(bad):
 def test_parse_inadmissible_rank(bad):
     with pytest.raises(DynkinError):
         parse_dynkin(bad)
+
+
+@pytest.mark.parametrize("family", ["Q", "H", "I", "Z"])
+def test_dynkin_type_refuses_unknown_families(family):
+    # DynkinType validates in __new__, not only behind parse_dynkin
+    with pytest.raises(DynkinError, match=f"{family}3: unknown family '{family}'"):
+        DynkinType(((family, 3),))
+    with pytest.raises(DynkinError, match="unknown family"):
+        DynkinType((("A", 2), (family, 3)))
 
 
 @given(
