@@ -16,7 +16,12 @@ For the full flag (I empty) of each type below, and for the call
   and every J, or null for a type over ``sweep.ORDER_CAP`` (E6);
 * ``bruhat``: ``WeylGroup.bruhat_rows()``, the |W|^2 Bruhat matrix the
   sweep's fixed-point check reads, each call on a fresh ``generate(rs)``
-  and only the call timed, or null over ``sweep.ORDER_CAP``.
+  and only the call timed, or null over ``sweep.ORDER_CAP``;
+* ``roots``: ``rootsys.build_root_system(T)``, the root closure and the
+  Dynkin diagram;
+* ``orbits``: ``wonderful.orbit_lattice(rs)``, a Levi type and a Levi
+  root set per subset J, each call on a fresh ``build_root_system(T)``
+  (whose ``sub_system`` cache it fills) and only the call timed.
 
 No printed word of a full flag has a prefix off W^I, so it also times
 the walk of the maximal parabolic quotients in QUOTIENTS, where many
@@ -63,6 +68,7 @@ from diagdegen.projgor import gorenstein_obstruction  # noqa: E402
 from diagdegen.rootsys import all_subsets, build_root_system  # noqa: E402
 from diagdegen.sweep import ORDER_CAP, run_sweep  # noqa: E402
 from diagdegen.weyl import generate  # noqa: E402
+from diagdegen.wonderful import orbit_lattice  # noqa: E402
 
 TYPES = ["A5", "A6", "B4", "B5", "D5", "F4", "E6"]
 REPEATS = 5
@@ -98,13 +104,13 @@ def _median_time(fn) -> float:
     return statistics.median(times)
 
 
-def _bruhat_time(rs) -> float:
-    """Median time of ``bruhat_rows()``, each call on a freshly generated group."""
+def _fresh_time(make, fn) -> float:
+    """Median time of ``fn(make())``, each call on a fresh argument and only the call timed."""
     times = []
     for _ in range(REPEATS):
-        g = generate(rs)
+        arg = make()
         start = time.perf_counter()
-        g.bruhat_rows()
+        fn(arg)
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 
@@ -137,7 +143,10 @@ def measure(type_str: str) -> dict:
         "json": _render_time(argv + ["--json"]),
         "text": _render_time(argv),
         "sweep": None if capped else _median_time(lambda: run_sweep(type_str)),
-        "bruhat": None if capped else _bruhat_time(rs),
+        "bruhat": None if capped else _fresh_time(lambda: generate(rs),
+                                                  lambda g: g.bruhat_rows()),
+        "roots": _median_time(lambda: build_root_system(type_str)),
+        "orbits": _fresh_time(lambda: build_root_system(type_str), orbit_lattice),
     }
 
 
@@ -203,7 +212,7 @@ def main() -> int:
         print(f"{type_str:<4} |W| {row['reps']:>6}  " + "  ".join(
             f"{k} {'-' if row[k] is None else f'{row[k]:.4f}s'}"
             for k in ("quotient", "components", "components_all", "json", "text", "sweep",
-                      "bruhat")),
+                      "bruhat", "roots", "orbits")),
             flush=True)
     quotients = {}
     for type_str, I in QUOTIENTS:
@@ -230,7 +239,8 @@ def main() -> int:
         "statistic": "median",
         "unit": "s",
         "call": ("flagdegen T --J 1 (full flag, I empty); components on every J; sweep T; "
-                 "bruhat_rows() on a fresh group; "
+                 "bruhat_rows() on a fresh group; build_root_system(T); "
+                 "orbit_lattice(rs) on a fresh root system; "
                  "gorenstein_obstruction(n, variant)"),
         "layers": layers,
         "quotients": quotients,

@@ -30,9 +30,9 @@ ROOT_CAP = 256
 #: and 2^rank in ``wonderful.orbit_lattice``, each checked before it allocates.
 SIZE_CAP = 10**6
 
-_MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "F": 4, "G": 2}
-_EXACT_RANK = {"F": 4, "G": 2}
-_E_RANKS = frozenset({6, 7, 8})
+#: The admissible ranks of each family: (least, greatest), None for no bound.
+_RANKS = {"A": (1, None), "B": (2, None), "C": (3, None), "D": (4, None),
+          "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 _COMPONENT_RE = re.compile(r"([A-Z])([0-9]+)\Z")
 
 
@@ -50,20 +50,17 @@ class WeylOrderCapError(ValueError):
 
 
 def _check_component(family: str, rank: int) -> None:
-    if family not in _MIN_RANK and family != "E":
+    if family not in _RANKS:
         raise DynkinError(f"{family}{rank}: unknown family {family!r}")
-    if family == "E":
-        if rank not in _E_RANKS:
+    if type(rank) is not int:  # bool, float and str are refused too
+        raise DynkinError(f"{family}: rank {rank!r} is not an int")
+    least, greatest = _RANKS[family]
+    if rank < least or (greatest is not None and rank > greatest):
+        if family == "E":
             raise DynkinError(f"E{rank}: rank must be 6, 7 or 8")
-        return
-    if family in _EXACT_RANK:
-        if rank != _EXACT_RANK[family]:
-            raise DynkinError(f"{family}{rank}: only {family}{_EXACT_RANK[family]} exists")
-        return
-    if rank < _MIN_RANK[family]:
-        raise DynkinError(
-            f"{family}{rank}: inadmissible rank (need {family} >= {_MIN_RANK[family]})"
-        )
+        if least == greatest:
+            raise DynkinError(f"{family}{rank}: only {family}{least} exists")
+        raise DynkinError(f"{family}{rank}: inadmissible rank (need {family} >= {least})")
 
 
 def _degrees(family: str, rank: int) -> Iterator[int]:
@@ -89,7 +86,13 @@ class _DynkinFields(NamedTuple):
 
 
 class DynkinType(_DynkinFields):
-    """An ordered product of irreducible Dynkin components, e.g. B2xA1."""
+    """An ordered product of irreducible Dynkin components, e.g. B2xA1.
+
+    Each component is a (family, rank) pair, checked against the one table
+    of admissible ranks; a rank must be an ``int``.  The empty product
+    ``DynkinType(())`` is the Levi type of J = {}: ``subdiagram_type`` returns
+    it, and ``orbits`` prints it as ``-``.
+    """
 
     __slots__ = ()
 
@@ -135,17 +138,23 @@ def all_subsets(rank: int) -> list[frozenset[int]]:
 
 
 def simple_subset(rank: int, indices: Iterable[int]) -> frozenset[int]:
-    """Validate a subset of 1..rank; the ValueError names the first index out of range."""
+    """Validate a subset of 1..rank; the ValueError names the first entry that is
+    not an ``int`` in that range (so ``True`` is refused, not read as 1)."""
     if type(indices) is not frozenset:  # a frozenset comes back as is, hash cached
         indices = tuple(indices)
     for i in indices:
-        if not isinstance(i, int) or not 1 <= i <= rank:
+        if type(i) is not int or not 1 <= i <= rank:
             raise ValueError(f"index {i!r} out of range 1..{rank}")
     return frozenset(indices)
 
 
 def parse_dynkin(text: str) -> DynkinType:
-    """Parse a type string like ``"A3"`` or ``"B2xA1"`` into a DynkinType."""
+    """Parse a type string like ``"A3"`` or ``"B2xA1"`` into a DynkinType.
+
+    Checks the syntax, the number of digits of each rank and the
+    non-crystallographic families H and I; ``DynkinType`` checks every other
+    family and the ranks.
+    """
     if not isinstance(text, str) or not text.strip():
         raise DynkinError("empty Dynkin type")
     components = []
@@ -160,8 +169,6 @@ def parse_dynkin(text: str) -> DynkinType:
             raise DynkinError(f"{family}: rank has {len(digits)} digits") from None
         if family in ("H", "I"):
             raise DynkinError(f"{part}: non-crystallographic family")
-        if family not in _MIN_RANK and family != "E":
-            raise DynkinError(f"{part}: unknown family {family!r}")
         components.append((family, rank))
     return DynkinType(tuple(components))
 
@@ -200,19 +207,6 @@ def _component_cartan(family: str, n: int) -> list[list[int]]:
     return m
 
 
-def _block_diagonal(blocks: list[list[list[int]]]) -> tuple[tuple[int, ...], ...]:
-    total = sum(len(b) for b in blocks)
-    out = [[0] * total for _ in range(total)]
-    offset = 0
-    for block in blocks:
-        k = len(block)
-        for i in range(k):
-            for j in range(k):
-                out[offset + i][offset + j] = block[i][j]
-        offset += k
-    return tuple(tuple(row) for row in out)
-
-
 class RootSystem:
     """A finite crystallographic root system with stable root indexing.
 
@@ -239,6 +233,12 @@ class RootSystem:
         self._simple_index = tuple(
             self.index[tuple(1 if j == i else 0 for j in range(self.rank))]
             for i in range(self.rank)
+        )
+        # The Dynkin diagram, read off the Cartan matrix once: _adjacent[i - 1]
+        # holds the nodes joined to node i.
+        self._adjacent = tuple(
+            frozenset(j for j, c in enumerate(row, 1) if c and j != i)
+            for i, row in enumerate(cartan, 1)
         )
         self._components = tuple(self._induced_components(range(1, self.rank + 1)))
         self._sub_systems: dict[frozenset[int], frozenset[int]] = {}
@@ -318,21 +318,22 @@ class RootSystem:
     # -- Dynkin diagram structure -----------------------------------------
 
     def _induced_components(self, nodes: Iterable[int]) -> list[frozenset[int]]:
-        """Connected components of the diagram induced on nodes, by smallest node."""
-        nodes = sorted(nodes)
+        """Connected components of the diagram induced on nodes, by smallest node.
+
+        Walks the stored adjacency, cut down to nodes at each step.
+        """
+        nodes = frozenset(nodes)
         seen: set[int] = set()
         comps = []
-        for start in nodes:
+        for start in sorted(nodes):
             if start in seen:
                 continue
             comp = {start}
             stack = [start]
             while stack:
-                a = stack.pop()
-                for b in nodes:
-                    if b not in comp and self.cartan[a - 1][b - 1] != 0 and a != b:
-                        comp.add(b)
-                        stack.append(b)
+                new = (self._adjacent[stack.pop() - 1] & nodes) - comp
+                comp |= new
+                stack.extend(new)
             seen |= comp
             comps.append(frozenset(comp))
         return comps
@@ -353,47 +354,37 @@ class RootSystem:
     def subdiagram_type(self, J: Iterable[int]) -> DynkinType:
         """Dynkin type of the diagram induced on the node subset J."""
         J = self.simple_subset(J)
-        return DynkinType(tuple(self._classify_component(sorted(comp))
+        return DynkinType(tuple(self._classify_component(comp)
                                 for comp in self._induced_components(J)))
 
-    def _classify_component(self, nodes: list[int]) -> tuple[str, int]:
+    def _classify_component(self, nodes: frozenset[int]) -> tuple[str, int]:
+        """Family and rank of the connected subdiagram on nodes.
+
+        A multiple bond is read as one directed pair: ``cartan[x][y] < -1``
+        means alpha_y is the shorter root, and -3 means G2.  The type is B_k
+        when y is a leaf (with two nodes both are), C_k when x is a leaf, and
+        F4 otherwise.  A simply-laced diagram with no branch node is A_k; D_k has
+        two or more leaves beside its branch node (three in D4), E_k one.
+        """
         k = len(nodes)
-        if k == 1:
+        if k == 1:  # a fast path: every component of A1^n has one node
             return ("A", 1)
+        adjacent = {a: self._adjacent[a - 1] & nodes for a in nodes}
+        leaves = {a for a, near in adjacent.items() if len(near) == 1}
         cartan = self.cartan
-        neighbors = {
-            a: [b for b in nodes if b != a and cartan[a - 1][b - 1] != 0]
-            for a in nodes
-        }
-        edges = [
-            (a, b)
-            for a in nodes
-            for b in neighbors[a]
-            if a < b
-        ]
-        mult = {e: cartan[e[0] - 1][e[1] - 1] * cartan[e[1] - 1][e[0] - 1] for e in edges}
-        if any(m == 3 for m in mult.values()):
-            return ("G", 2)
-        doubles = [e for e, m in mult.items() if m == 2]
-        ends = [a for a in nodes if len(neighbors[a]) == 1]
-        if doubles:
-            a, b = doubles[0]
-            if k == 2:
-                return ("B", 2)
-            if a in ends or b in ends:
-                end = a if a in ends else b
-                other = b if end == a else a
-                # the end node is short exactly for type B
-                if cartan[other - 1][end - 1] == -2:
-                    return ("B", k)
-                return ("C", k)
-            return ("F", 4)
-        branch = next((a for a in nodes if len(neighbors[a]) == 3), None)
+        bond = next(((x, y) for x in nodes for y in adjacent[x]
+                     if cartan[x - 1][y - 1] < -1), None)
+        if bond is not None:
+            x, y = bond
+            if cartan[x - 1][y - 1] == -3:
+                return ("G", 2)
+            if y in leaves:
+                return ("B", k)
+            return ("C", k) if x in leaves else ("F", 4)
+        branch = next((a for a, near in adjacent.items() if len(near) == 3), None)
         if branch is None:
             return ("A", k)
-        # D_k has two leaves beside its branch node (three in D4), E_k one.
-        leaves = sum(b in ends for b in neighbors[branch])
-        return ("D", k) if leaves >= 2 else ("E", k)
+        return ("D", k) if len(adjacent[branch] & leaves) >= 2 else ("E", k)
 
 
 def build_root_system(t: DynkinType | str) -> RootSystem:
@@ -411,7 +402,13 @@ def build_root_system(t: DynkinType | str) -> RootSystem:
     # n_roots sums rank-many degrees, so it is read only once the rank is small
     if rank > ROOT_CAP // 2 or (n_roots := t.n_roots) > ROOT_CAP:
         raise WeylOrderCapError(f"{t}: number of roots exceeds cap {ROOT_CAP}")
-    cartan = _block_diagonal([_component_cartan(f, n) for f, n in t.components])
+    matrix = [[0] * rank for _ in range(rank)]
+    offset = 0
+    for family, n in t.components:
+        for i, row in enumerate(_component_cartan(family, n), offset):
+            matrix[i][offset:offset + n] = row
+        offset += n
+    cartan = tuple(map(tuple, matrix))
 
     def reflect_coords(i: int, coords: Coords) -> Coords:
         pairing = sum(c * cartan[j][i] for j, c in enumerate(coords) if c)

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -204,7 +205,7 @@ def test_bench_layers_script_measures_a2(monkeypatch):
     row = module.measure("A2")
     assert row["reps"] == 6
     assert all(row[k] > 0 for k in ("quotient", "components", "components_all", "json", "text",
-                                    "sweep", "bruhat"))
+                                    "sweep", "bruhat", "roots", "orbits"))
     row = module.measure_quotient("A2", (2,))
     assert row["reps"] == 3 and row["quotient"] > 0 and row["peak_bytes"] > 0
     assert [type_str for type_str, _ in module.QUOTIENTS] == ["E6", "E7", "E8", "E8", "E8"]
@@ -299,13 +300,21 @@ def test_trace_child_wraps_the_methods_the_benchmark_reads(tmp_path):
 
 @pytest.mark.parametrize("type_str", ["A3000", "A300000", "B2xD100000", "A" + "1" * 25])
 def test_huge_rank_is_refused_cheaply(capsys, type_str):
-    start = time.perf_counter()
-    code, out, err = run_capture(capsys, ["roots", type_str])
-    assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "exceeds cap" in err
+    # Every verb, looped here so the test keeps one id per type.
+    for verb in cli.VERBS:
+        argv = [verb, type_str]
+        for option in ("I", "J"):
+            if option in cli._GRAMMAR[verb].takes:
+                argv += [f"--{option}", ""]
+        start = time.perf_counter()
+        code, out, err = run_capture(capsys, argv)
+        assert time.perf_counter() - start < 1.0, verb
+        assert out == "", verb
+        assert err.startswith("error: ") and err.count("\n") == 1, verb
+        if verb in ("pn", "gorenstein") and type_str == "B2xD100000":
+            assert code == 2 and "requires an irreducible type A_n" in err, verb
+        else:  # the sweep's own cap reads "exceeds the sweep's cap"
+            assert code == 3 and re.search(r"exceeds (the sweep's )?cap", err), verb
 
 
 def test_rank_beyond_int_conversion_exits_2(capsys):

@@ -18,6 +18,7 @@ from diagdegen.oracles import (
     simple_coords_to_vector,
     type_a_positive_vectors,
 )
+from diagdegen.rootsys import simple_subset
 
 
 def test_parse_single_component():
@@ -61,6 +62,26 @@ def test_dynkin_type_refuses_unknown_families(family):
         DynkinType(((family, 3),))
     with pytest.raises(DynkinError, match="unknown family"):
         DynkinType((("A", 2), (family, 3)))
+
+
+@pytest.mark.parametrize("value", [True, 3.0, "3", None], ids=repr)
+def test_rank_and_index_must_be_an_int(value):
+    # True would pass as 1, 3.0 would build "A3.0", "3" would fail in a comparison
+    with pytest.raises(DynkinError, match=f"A: rank {value!r} is not an int"):
+        DynkinType((("A", value),))
+    with pytest.raises(DynkinError, match="is not an int"):
+        DynkinType((("B", 2), ("A", value)))
+    with pytest.raises(ValueError, match=f"index {value!r} out of range 1..3"):
+        simple_subset(3, [value])
+    with pytest.raises(ValueError):
+        build_root_system("A3").subdiagram_type((2, value))
+
+
+def test_empty_type_is_the_levi_type_of_the_empty_subset():
+    empty = DynkinType(())
+    assert (empty.rank, empty.n_roots, empty.weyl_order(), str(empty)) == (0, 0, 1, "")
+    for type_str in ("A1", "B3", "F4xG2"):
+        assert build_root_system(type_str).subdiagram_type(()) == empty
 
 
 @given(
@@ -303,6 +324,41 @@ def test_subdiagram_type_counts_the_roots_of_every_subset(type_str):
         assert t.n_roots == len(rs.sub_system(J))
         assert t.rank == len(J)
     assert rs.subdiagram_type(rs.delta()) == rs.dynkin
+
+
+def _levi_by_runs(family: str, n: int, J) -> DynkinType:
+    """The Levi type of J in B_n, C_n, F4 or G2, from its maximal runs of consecutive nodes."""
+    runs: list[list[int]] = []
+    for j in sorted(J):
+        if runs and runs[-1][-1] == j - 1:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    over_the_double_bond = {(1, 2, 3): ("B", 3), (2, 3, 4): ("C", 3), (2, 3): ("B", 2),
+                            (1, 2, 3, 4): ("F", 4)}
+    out = []
+    for run in runs:
+        m = len(run)
+        if family in "BC" and m >= 2 and run[-1] == n:
+            out.append(("B", 2) if m == 2 else (family, m))
+        elif family == "F" and tuple(run) in over_the_double_bond:
+            out.append(over_the_double_bond[tuple(run)])
+        elif family == "G" and m == 2:
+            out.append(("G", 2))
+        else:
+            out.append(("A", m))
+    return DynkinType(tuple(out))
+
+
+@pytest.mark.parametrize(
+    "type_str", [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(3, 9)] + ["F4", "G2"])
+def test_subdiagram_type_names_the_family_of_every_subset(type_str):
+    # B_m and C_m have the same |Phi_J| and rank, so only the family tells the
+    # long/short reading of the double bond apart.
+    rs = build_root_system(type_str)
+    family, n = rs.dynkin.components[0]
+    for J in all_subsets(n):
+        assert rs.subdiagram_type(J) == _levi_by_runs(family, n, J), sorted(J)
 
 
 def test_root_index_rejects_non_roots():
